@@ -8,7 +8,8 @@ thermostat's past acts on the present; for the unpinned chain it happens to
 be a classical oscillatory special function, which makes a sharp accuracy
 check: the table written below carries the quadrature error columns.
 
-Run:  python demos/01_dispersion_and_memory.py
+Run:  python demos/01_dispersion_and_memory.py   (the Bessel reference needs
+      scipy, from the package's `test` extra)
 Output: demos/out/dispersion.csv, demos/out/memory.csv (+ console narrative)
 """
 

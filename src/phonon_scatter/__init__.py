@@ -2,7 +2,8 @@
 
 Layers, from the lattice up:
 
-* lattice     coupling kernels, dispersion relation and its inverse branch
+* lattice     coupling kernels, dispersion relation, inverse branch and the
+              graded Gauss-Legendre panel quadrature
 * memory      thermostat memory function J, resolvent density, phi kernel
 * scattering  interface response nu(k), transmission/reflection/absorption
 * dynamics    splitting integrator and the spectral mild solution
@@ -17,8 +18,8 @@ from .errors import (ConfigError, DomainError, HorizonError, InvalidRunError,
                      UnsupportedBranchError)
 from .lattice import (CouplingKernel, DispersionRelation, hat_alpha,
                       kernel_from_spec, nn_pinned, nn_unpinned)
-from .memory import (MemoryKernel, g_star_series, g_star_series_curve,
-                     g_star_volterra, j_eval, j_laplace)
+from .memory import (MemoryKernel, g_star_series, g_star_series_curve, j_eval,
+                     j_laplace)
 from .scattering import (Coefficients, ScatteringTable, build_table, coefficients,
                          nu_laplace_limit, nu_pv)
 from .dynamics import (ChainState, EnsembleNoise, NoisePath, ThermostatParams,

@@ -52,7 +52,12 @@ def main(argv=None) -> int:
         config["seed"] = args.seed
     env_threads = os.environ.get("PHONON_SCATTER_THREADS")
     if env_threads is not None:
-        config["threads"] = int(env_threads)
+        try:
+            config["threads"] = int(env_threads)
+        except ValueError:
+            print(f"config rejected: PHONON_SCATTER_THREADS={env_threads!r} "
+                  "is not an integer", file=sys.stderr)
+            return 2
     elif args.threads is not None:
         config["threads"] = args.threads
     outdir = args.out if args.out is not None else Path("out") / command

@@ -12,9 +12,14 @@ unit torus T = [-1/2, 1/2).  Two cases are supported:
   omega has a conical point at k = 0 with one-sided slope sqrt(a0(0))*pi.
 
 omega is required to be even and increasing on [0, 1/2]; its inverse on
-that interval is the "positive branch" used by the interface quadratures.
-All evaluators are exact closed forms (finite cosine sums), so no
+that interval is the "positive branch", the resonant wavenumber of a
+frequency.  All evaluators are exact closed forms (finite cosine sums), so no
 interpolation error enters downstream computations.
+
+The module also holds the package's one quadrature primitive,
+`panel_integrate`: composite 16-point Gauss-Legendre over panels refined
+geometrically toward chosen endpoints.  The interface integrals, the
+resolvent transform and the envelope norms all use it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, DomainError
 
@@ -32,6 +37,60 @@ VALIDATION_GRID = 10_000
 VALIDATION_TOL = 1e-12
 # below this |k| the acoustic derivative uses its one-sided limit
 _ACOUSTIC_K_SWITCH = 1e-7
+_GL_NODES, _GL_WEIGHTS = leggauss(16)
+# inverse_branch: points per multisection pass, and passes; six passes of
+# 256 cells leave a bracket of 0.5/256**6 ~ 1.8e-15 for the Newton polish
+_SECTION_POINTS = 257
+_SECTION_PASSES = 6
+
+
+def _graded_edges(a: float, b: float, hot_a: bool, hot_b: bool,
+                 base: float, ratio: float = 1.6) -> np.ndarray:
+    """Panel edges on [a, b], geometrically refined toward hot endpoints.
+
+    Panels next to a hot endpoint start at width `base` and grow by `ratio`
+    up to the midpoint; with no hot endpoint the panels are uniform of width
+    `base`.
+    """
+    if b <= a:
+        return np.array([a, b])
+    length = b - a
+    left: list[float] = []
+    if hot_a:
+        s, h = 0.0, min(base, length / 4)
+        while s + h < length / 2:
+            left.append(s + h)
+            s += h
+            h *= ratio
+    right: list[float] = []
+    if hot_b:
+        s, h = 0.0, min(base, length / 4)
+        while s + h < length / 2:
+            right.append(length - (s + h))
+            s += h
+            h *= ratio
+    interior = (np.arange(base, length, base)
+                if not (hot_a or hot_b) else np.empty(0))
+    return np.unique(np.concatenate([
+        np.array([a, b]), a + np.array(left, dtype=float),
+        a + np.array(right, dtype=float), a + interior]))
+
+
+def panel_integrate(f, a: float, b: float, hot_a: bool = False,
+                    hot_b: bool = False, base: float = 1e-3):
+    """Composite Gauss-Legendre of f over graded panels on [a, b].
+
+    f is called once on the 1-d array of all nodes and returns values of
+    shape (..., n_nodes); the result has shape (...).  The weighted sum is a
+    numpy reduction, not a BLAS product, so it does not depend on the BLAS
+    thread count.
+    """
+    edges = _graded_edges(a, b, hot_a, hot_b, base)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+    weights = (half[:, None] * _GL_WEIGHTS).ravel()
+    return np.sum(f(nodes) * weights, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -47,6 +106,10 @@ class CouplingKernel:
     coefficients: dict[int, float]
     decay_constant: float
     name: str = "custom"
+    # (y >= 1, alpha_y) and alpha_0, cached for the cosine sums
+    _ys: np.ndarray = field(init=False, repr=False, compare=False)
+    _alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    _alpha0: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = dict(self.coefficients)
@@ -63,6 +126,10 @@ class CouplingKernel:
                 )
             folded[ay] = a
         object.__setattr__(self, "coefficients", folded)
+        pos = sorted(y for y in folded if y > 0)
+        object.__setattr__(self, "_ys", np.array(pos, dtype=float))
+        object.__setattr__(self, "_alpha", np.array([folded[y] for y in pos]))
+        object.__setattr__(self, "_alpha0", folded.get(0, 0.0))
         C = float(self.decay_constant)
         if C <= 0:
             raise ConfigError("decay_constant must be positive")
@@ -78,12 +145,6 @@ class CouplingKernel:
     @property
     def support_radius(self) -> int:
         return max(self.coefficients)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(y >= 0, alpha_y) as aligned arrays, y ascending."""
-        ys = np.array(sorted(self.coefficients), dtype=np.int64)
-        al = np.array([self.coefficients[int(y)] for y in ys])
-        return ys, al
 
     def _validate_band(self):
         grid = np.linspace(0.0, 0.5, VALIDATION_GRID // 2 + 1)
@@ -107,46 +168,28 @@ class CouplingKernel:
 
     def hat_alpha_second_zero(self) -> float:
         """hat_alpha''(0) = -8 pi^2 sum_{y>=1} y^2 alpha_y."""
-        ys, al = self.arrays()
-        pos = ys > 0
-        return float(-8.0 * np.pi**2 * np.sum(ys[pos] ** 2 * al[pos]))
+        return float(-8.0 * np.pi**2 * np.sum(self._ys**2 * self._alpha))
 
 
 def hat_alpha(kernel: CouplingKernel, k) -> np.ndarray | float:
     """Fourier transform sum_y alpha_y e^{-2 pi i k y} of the coupling.
 
-    Evenness makes the sum real; the imaginary part of the complex sum is
-    asserted below 1e-12 before being discarded.
+    Evenness makes the sum the real cosine series
+    alpha_0 + 2 sum_{y>=1} alpha_y cos(2 pi k y).
     """
     karr = np.asarray(k, dtype=float)
-    ys, al = kernel.arrays()
-    signed_y = np.concatenate([-ys[ys > 0][::-1], ys])
-    signed_a = np.concatenate([al[ys > 0][::-1], al])
-    phases = np.exp(-2j * np.pi * np.multiply.outer(karr, signed_y.astype(float)))
-    total = phases @ signed_a
-    assert np.max(np.abs(total.imag), initial=0.0) < 1e-12
-    out = total.real
+    out = np.full(karr.shape, kernel._alpha0)
+    for y, a in zip(kernel._ys, kernel._alpha):
+        out += 2.0 * a * np.cos(2.0 * np.pi * y * karr)
     return out if out.shape else float(out)
 
 
 def _hat_alpha_prime(kernel: CouplingKernel, k) -> np.ndarray | float:
     """d/dk hat_alpha = -4 pi sum_{y>=1} y alpha_y sin(2 pi k y)."""
     karr = np.asarray(k, dtype=float)
-    ys, al = kernel.arrays()
-    pos = ys > 0
-    yv = ys[pos].astype(float)
-    out = -4.0 * np.pi * np.sin(2.0 * np.pi * np.multiply.outer(karr, yv)) @ (yv * al[pos])
-    return out if out.shape else float(out)
-
-
-def _hat_alpha_second(kernel: CouplingKernel, k) -> np.ndarray | float:
-    karr = np.asarray(k, dtype=float)
-    ys, al = kernel.arrays()
-    pos = ys > 0
-    yv = ys[pos].astype(float)
-    out = -8.0 * np.pi**2 * np.cos(2.0 * np.pi * np.multiply.outer(karr, yv)) @ (
-        yv**2 * al[pos]
-    )
+    out = np.zeros(karr.shape)
+    for y, a in zip(kernel._ys, kernel._alpha):
+        out -= 4.0 * np.pi * y * a * np.sin(2.0 * np.pi * y * karr)
     return out if out.shape else float(out)
 
 
@@ -206,14 +249,6 @@ class DispersionRelation:
             out[near_cone] = sgn * self._cone_slope
         return float(out[0]) if scalar else out
 
-    def omega_second(self, k) -> np.ndarray | float:
-        """omega'' away from degeneracies (used by the PV quadrature)."""
-        a = hat_alpha(self.kernel, k)
-        ap = _hat_alpha_prime(self.kernel, k)
-        app = _hat_alpha_second(self.kernel, k)
-        om = np.sqrt(np.clip(a, 0.0, None))
-        return app / (2.0 * om) - ap**2 / (4.0 * om**3)
-
     def group_velocity(self, k) -> np.ndarray | float:
         """Macroscopic phonon speed omega'(k) / (2 pi)."""
         return self.omega_prime(k) / (2.0 * np.pi)
@@ -221,11 +256,13 @@ class DispersionRelation:
     def inverse_branch(self, w: float) -> float:
         """Positive inverse branch: the k in [0, 1/2] with omega(k) = w.
 
-        Bisection on the monotone branch followed by Newton polish;
-        |omega(k) - w| < 1e-12 away from an acoustic band bottom, degrading
-        there to the float64 conditioning limit of the cosine sum behind
-        hat_alpha.  The negative branch is the negation.  Raises DomainError
-        outside [omega_min, omega_max].
+        Multisection on the monotone branch (each pass evaluates omega on a
+        uniform grid over the current bracket and keeps the cell where
+        omega crosses w) followed by Newton polish; |omega(k) - w| < 1e-12
+        away from an acoustic band bottom, degrading there to the float64
+        conditioning limit of the cosine sum behind hat_alpha.  The negative
+        branch is the negation.  Raises DomainError outside
+        [omega_min, omega_max], or if the polished root misses that bound.
         """
         w = float(w)
         if not (self.omega_min <= w <= self.omega_max):
@@ -236,11 +273,15 @@ class DispersionRelation:
             return 0.0
         if w == self.omega_max:
             return 0.5
-
-        def f(k):
-            return self.omega(k) - w
-
-        k = brentq(f, 0.0, 0.5, xtol=1e-15, rtol=8.9e-16)
+        lo, hi = 0.0, 0.5
+        for _ in range(_SECTION_PASSES):
+            grid = np.linspace(lo, hi, _SECTION_POINTS)
+            # binary search keeps omega(grid[i-1]) < w <= omega(grid[i]),
+            # a sign change even where round-off breaks monotonicity
+            i = int(np.searchsorted(self.omega(grid), w))
+            i = min(max(i, 1), _SECTION_POINTS - 1)
+            lo, hi = float(grid[i - 1]), float(grid[i])
+        k = 0.5 * (lo + hi)
         for _ in range(2):
             dp = self.omega_prime(k)
             if abs(dp) < 1e-3:
@@ -251,7 +292,11 @@ class DispersionRelation:
                 k = k_new
         alpha_scale = sum(abs(a) for a in self.kernel.coefficients.values()) * 2.0
         cond_floor = 8.0 * np.finfo(float).eps * alpha_scale / max(w, 1e-300)
-        assert abs(self.omega(k) - w) < max(1e-12 * max(1.0, w), cond_floor)
+        residual = abs(self.omega(k) - w)
+        if not residual < max(1e-12 * max(1.0, w), cond_floor):
+            raise DomainError(
+                f"inverse branch at w={w} missed: |omega(k) - w| = {residual:.3e}"
+            )
         return float(k)
 
     def distance_to_stationary(self, k) -> np.ndarray | float:

@@ -20,16 +20,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError, DomainError, HorizonError
-from .lattice import DispersionRelation
+from .lattice import DispersionRelation, panel_integrate
 
 _BASE_NODES = 2048
 _NODES_PER_TIME = 64
 # the kernel-grid sampler only needs a few nodes per k-oscillation for the
 # (spectrally accurate) periodic trapezoid rule; accuracy is pinned by tests
 _GRID_NODES_PER_TIME = 8
+# width of the resolvent panels next to the resonant wavenumber or a band
+# edge; the Lorentzian there has width ~eps/omega', far wider for eps >= 1e-4
+_RESOLVENT_PANEL_BASE = 1e-6
 
 
 def _j_quadrature_nodes(disp: DispersionRelation, t_max: float,
@@ -75,32 +77,50 @@ def j_eval(disp: DispersionRelation, t,
     return float(out[0]) if scalar else out
 
 
+def j_laplace_batch(disp: DispersionRelation, eps, u: float,
+                    pole: float | None = None) -> np.ndarray:
+    """J_tilde(eps_i - i u) = int_T lambda/(lambda^2+omega^2) dk for every
+    eps_i > 0, in one panel quadrature.
+
+    `pole` is the resonant wavenumber l0 in [0, 1/2] with omega(l0) = |u|,
+    where the integrand is a Lorentzian of width ~eps/omega'(l0); the panels
+    are graded toward it from both sides.  Without a pole (|u| outside the
+    band) they are graded toward the band edges 0 and 1/2 instead.  All eps
+    share the nodes, so the sharpest Lorentzian sets the refinement.
+    """
+    lam = np.asarray(eps, dtype=float) - 1j * u
+    base = _RESOLVENT_PANEL_BASE
+
+    def integrand(ell):
+        w2 = disp.omega(ell) ** 2
+        return lam[:, None] / (lam[:, None] ** 2 + w2)
+
+    if pole is None:
+        half = panel_integrate(integrand, 0.0, 0.5, hot_a=True, hot_b=True, base=base)
+    else:
+        half = (panel_integrate(integrand, 0.0, pole, hot_b=True, base=base)
+                + panel_integrate(integrand, pole, 0.5, hot_a=True, base=base))
+    return 2.0 * half
+
+
 def j_laplace(disp: DispersionRelation, lam: complex) -> complex:
     """Laplace transform J_tilde(lambda) = int_T lambda/(lambda^2+omega^2) dk.
 
     Defined for Re lambda > 0 (boundary values toward the imaginary axis are
-    the business of the interface-scattering module, which supplies the
-    near-pole hint through this same routine).  Adaptive quadrature; when
+    the business of the interface-scattering module, which calls
+    `j_laplace_batch` with the resonant wavenumber it already knows).  When
     |Im lambda| falls inside the band the integrand is sharply peaked at the
-    resonant wavenumber and that point is passed to the integrator.
+    resonant wavenumber, found here by the inverse branch, and the panels
+    are graded toward it.
     """
     lam = complex(lam)
     if lam.real <= 0.0:
         raise DomainError("J_tilde requires Re lambda > 0")
-    u = -lam.imag  # lambda = eps - i u resonates where omega(l) = u
-    points = None
+    u = -lam.imag  # lambda = eps - i u resonates where omega(l) = |u|
+    pole = None
     if disp.omega_min < abs(u) < disp.omega_max:
-        points = [disp.inverse_branch(abs(u))]
-
-    def integrand(ell, part):
-        val = lam / (lam * lam + disp.omega(ell) ** 2)
-        return val.real if part == 0 else val.imag
-
-    re = quad(integrand, 0.0, 0.5, args=(0,), points=points, limit=400,
-              epsabs=1e-12, epsrel=1e-11)[0]
-    im = quad(integrand, 0.0, 0.5, args=(1,), points=points, limit=400,
-              epsabs=1e-12, epsrel=1e-11)[0]
-    return complex(2.0 * re, 2.0 * im)
+        pole = disp.inverse_branch(abs(u))
+    return complex(j_laplace_batch(disp, [lam.real], u, pole)[0])
 
 
 class MemoryKernel:
@@ -224,13 +244,6 @@ def _trapezoid_convolve(f: np.ndarray, g: np.ndarray, dt: float) -> np.ndarray:
     full -= 0.5 * (f[0] * g + g[0] * f)
     full[0] = 0.0
     return full * dt
-
-
-def g_star_volterra(disp: DispersionRelation, gamma: float, t_end: float,
-                    dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled Volterra resolvent density on [0, t_end] (one-shot march)."""
-    mk = MemoryKernel(disp, gamma, dt=dt, horizon=t_end)
-    return mk.t_grid, mk.gstar_samples
 
 
 def g_star_series_curve(disp: DispersionRelation, gamma: float, t_end: float,

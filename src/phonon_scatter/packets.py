@@ -27,11 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dynamics import ChainState, site_coordinates, state_from_wave_field, wave_field_hat
 from .errors import ConfigError
-from .lattice import DispersionRelation
+from .lattice import DispersionRelation, panel_integrate
 
 
 class Envelope:
@@ -56,12 +55,12 @@ class Envelope:
         return out
 
     def l2_squared(self) -> float:
-        """int |f(x)|^2 dx; closed form for the cosine bump (3w/4)."""
+        """int |f(x)|^2 dx; closed form for the cosine bump (3w/4), Gauss-
+        Legendre panels for the smooth bump (flat to all orders at +-w)."""
         if self.name == "cosine":
             return 0.75 * self.width
-        val = quad(lambda x: self.profile(x) ** 2, -self.width, self.width,
-                   limit=200)[0]
-        return float(val)
+        return float(panel_integrate(lambda x: self.profile(x) ** 2,
+                                     -self.width, self.width, base=self.width / 16))
 
 
 @dataclass(frozen=True)

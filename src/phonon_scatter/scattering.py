@@ -8,15 +8,18 @@ omega(k), with
     G(u) = (1/2) int_T dl / (u + omega(l))            (smooth),
     H(u) = (1/2) PV int_T dl / (u - omega(l)) - i pi / omega'(l0),
 
-where l0 in (0, 1/2) is the positive inverse branch of u.  The principal
-value is taken in the wavenumber variable, so the only singularities are the
-two simple poles +-l0; square-root band-edge weights never appear.  On a
-symmetric window around the pole the integrand is folded into cancelled
-pairs f(l0+s) + f(l0-s), which extend continuously with value
-omega''(l0)/omega'(l0)^2 at s = 0.
+where l0 = |k| in (0, 1/2) is the pole, the positive-branch wavenumber of
+u (known from k, so omega is never inverted).  The principal value is taken
+in the wavenumber variable, so the only singularities are the two simple
+poles +-l0; square-root band-edge weights never appear.  On a symmetric
+window around the pole the integrand is folded into cancelled pairs
+f(l0+s) + f(l0-s), which extend continuously with value
+omega''(l0)/omega'(l0)^2 at s = 0.  Every integral is the Gauss-Legendre
+panel quadrature of the lattice module.
 
 The oracle route evaluates the resolvent g_tilde(eps - i omega(k)) at a
-decreasing list of eps > 0 and extrapolates eps -> 0 (Fatou boundary value).
+decreasing list of eps > 0, all eps in one panel quadrature graded toward
+l0, and extrapolates eps -> 0 (Fatou boundary value).
 
 From nu the coefficients follow:
 
@@ -33,68 +36,34 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad_vec
 
-from .errors import ConfigError, SingularZoneError, TableConstructionError
-from .lattice import DispersionRelation
-from .memory import MemoryKernel
+from .errors import ConfigError, DomainError, SingularZoneError, TableConstructionError
+from .lattice import DispersionRelation, panel_integrate
+from .memory import MemoryKernel, j_laplace_batch
 
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
 _SUM_IDENTITY_TOL = 1e-8
 _RENU_IDENTITY_TOL = 1e-6
+_GRID_SYMMETRY_TOL = 1e-14
 _DEFAULT_PV_NODES = 2048
 
 
-def _graded_edges(a: float, b: float, hot_a: bool, hot_b: bool,
-                  base: float, ratio: float = 1.6) -> np.ndarray:
-    """Panel edges on [a, b], geometrically refined toward hot endpoints."""
-    if b <= a:
-        return np.array([a, b])
-    length = b - a
-    left: list[float] = []
-    if hot_a:
-        s, h = 0.0, min(base, length / 4)
-        while s + h < length / 2:
-            left.append(s + h)
-            s += h
-            h *= ratio
-    right: list[float] = []
-    if hot_b:
-        s, h = 0.0, min(base, length / 4)
-        while s + h < length / 2:
-            right.append(length - (s + h))
-            s += h
-            h *= ratio
-    interior = (np.arange(base, length, base)
-                if not (hot_a or hot_b) else np.empty(0))
-    edges = np.unique(np.concatenate([
-        np.array([a, b]), a + np.array(left, dtype=float),
-        a + np.array(right, dtype=float), a + interior]))
-    return edges
-
-
-def _integrate(f, a: float, b: float, hot_a: bool = False, hot_b: bool = False,
-               base: float = 1e-3) -> complex:
-    """Composite Gauss-Legendre over graded panels, one vectorized f call."""
-    edges = _graded_edges(a, b, hot_a, hot_b, base)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS).ravel()
-    return np.sum(weights * f(nodes))
+def _resonant_wavenumber(k: float) -> float:
+    """|k| with k wrapped to the torus: the l0 in [0, 1/2] with omega(l0) =
+    omega(k), by evenness and periodicity."""
+    return abs(k - round(k))
 
 
 def _smooth_half_integral(disp: DispersionRelation, u: float) -> float:
     """G(u) = int_0^{1/2} dl / (u + omega(l)); peaked near l=0 when the band
     touches zero, hence the graded left edge."""
     f = lambda l: 1.0 / (u + disp.omega(l))
-    return float(np.real(_integrate(f, 0.0, 0.5, hot_a=True, hot_b=True, base=2e-4)))
+    return float(panel_integrate(f, 0.0, 0.5, hot_a=True, hot_b=True, base=2e-4))
 
 
-def _pv_half_integral(disp: DispersionRelation, u: float, n_nodes: int) -> tuple[float, float]:
-    """(PV int_0^{1/2} dl/(u - omega(l)), omega'(l0)) with the window scheme."""
-    l0 = disp.inverse_branch(u)
+def _pv_half_integral(disp: DispersionRelation, u: float, l0: float,
+                      n_nodes: int) -> float:
+    """PV int_0^{1/2} dl/(u - omega(l)) with the window scheme, for the pole
+    l0 in (0, 1/2) with omega(l0) = u."""
     cell = 0.5 / n_nodes
     h = 4.0 * cell
     h = min(h, 0.45 * l0, 0.45 * (0.5 - l0))
@@ -102,16 +71,15 @@ def _pv_half_integral(disp: DispersionRelation, u: float, n_nodes: int) -> tuple
         raise SingularZoneError(
             f"PV window cannot fit inside (0, 1/2) for u={u} (pole at l0={l0})"
         )
-    dp = float(disp.omega_prime(l0))
     f = lambda l: 1.0 / (u - disp.omega(l))
     # symmetric window: fold into pairs whose 1/s parts cancel analytically
     pair = lambda s: f(l0 + s) + f(l0 - s)
-    window = float(np.real(_integrate(pair, 0.0, h, base=h / 8)))
-    outer = float(np.real(
-        _integrate(f, 0.0, l0 - h, hot_a=True, hot_b=True, base=min(2e-4, h / 4))
-        + _integrate(f, l0 + h, 0.5, hot_a=True, hot_b=True, base=min(2e-4, h / 4))
-    ))
-    return window + outer, dp
+    window = float(panel_integrate(pair, 0.0, h, base=h / 8))
+    outer = float(
+        panel_integrate(f, 0.0, l0 - h, hot_a=True, hot_b=True, base=min(2e-4, h / 4))
+        + panel_integrate(f, l0 + h, 0.5, hot_a=True, hot_b=True, base=min(2e-4, h / 4))
+    )
+    return window + outer
 
 
 def nu_pv(disp: DispersionRelation, gamma: float, k: float,
@@ -121,22 +89,25 @@ def nu_pv(disp: DispersionRelation, gamma: float, k: float,
 
     Requires omega'(k) != 0; near the zero-velocity set the -i pi/|omega'|
     part blows up and |nu| -> 0, so callers work on a grid with an exclusion
-    zone.  gamma = 0 returns 1 exactly.
+    zone.  The pole of the PV integrand is l0 = |k| (k wrapped to the
+    torus), so no inverse of omega is needed.  gamma = 0 returns 1 exactly.
     """
     k = float(k)
     if gamma == 0.0:
         return 1.0 + 0.0j
-    dp_k = disp.omega_prime(abs(k))
-    if abs(dp_k) < velocity_floor:
+    l0 = _resonant_wavenumber(k)
+    dp = disp.omega_prime(l0)
+    if abs(dp) < velocity_floor:
         raise SingularZoneError(f"omega'(k) ~ 0 at k={k}; inside the singular zone")
-    u = float(disp.omega(k))
+    u = float(disp.omega(l0))
     if not (disp.omega_min < u < disp.omega_max):
         raise SingularZoneError(f"omega(k)={u} sits at a band edge")
     G = _smooth_half_integral(disp, u)
-    H_re, dp = _pv_half_integral(disp, u, n_nodes)
+    H_re = _pv_half_integral(disp, u, l0, n_nodes)
     denom = 1.0 + 1j * gamma * (G + H_re) + np.pi * gamma / abs(dp)
     out = 1.0 / denom
-    assert np.isfinite(out.real) and np.isfinite(out.imag)
+    if not (np.isfinite(out.real) and np.isfinite(out.imag)):
+        raise DomainError(f"nu_pv is not finite at k={k} (G={G}, H={H_re})")
     return out
 
 
@@ -146,15 +117,17 @@ def nu_laplace_limit(mk: MemoryKernel, k: float,
 
     Evaluates g_tilde(eps - i omega(k)) for each eps and Richardson/Neville
     extrapolates the sequence to eps = 0.  Independent oracle for nu_pv:
-    it never touches the principal-value machinery.
+    it never touches the principal-value machinery (no window, no fold);
+    it shares only the panel quadrature and the resonant wavenumber |k|.
     """
     eps = np.asarray(eps_list, dtype=float)
     if eps.ndim != 1 or eps.size < 1 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise ConfigError("eps_list must be a decreasing list of positive reals")
     if mk.gamma == 0.0:
         return 1.0 + 0.0j
-    om = float(mk.disp.omega(k))
-    jt = _j_laplace_batch(mk.disp, eps, om)
+    l0 = _resonant_wavenumber(float(k))
+    om = float(mk.disp.omega(l0))
+    jt = j_laplace_batch(mk.disp, eps, om, pole=l0)
     vals = 1.0 / (1.0 + mk.gamma * jt)
     # Neville tableau at eps = 0
     tab = vals.astype(complex)
@@ -162,29 +135,6 @@ def nu_laplace_limit(mk: MemoryKernel, k: float,
     for m in range(1, eps.size):
         tab = (x[m:] * tab[:-1] - x[: eps.size - m] * tab[1:]) / (x[m:] - x[: eps.size - m])
     return complex(tab[0])
-
-
-def _j_laplace_batch(disp: DispersionRelation, eps: np.ndarray, om: float) -> np.ndarray:
-    """J_tilde(eps_i - i om) for all eps_i in one adaptive pass.
-
-    Same integrand as memory.j_laplace; the resonant wavenumber (when om is
-    inside the band) guides the subdivision.  The sharpest Lorentzian sets
-    the refinement for the whole batch, which is what the extrapolation
-    needs anyway.
-    """
-    lam = eps - 1j * om
-    points = None
-    if disp.omega_min < om < disp.omega_max:
-        points = [disp.inverse_branch(om)]
-
-    def integrand(ell):
-        w2 = disp.omega(ell) ** 2
-        vals = lam / (lam * lam + w2)
-        return np.concatenate([vals.real, vals.imag])
-
-    res = quad_vec(integrand, 0.0, 0.5, points=points, epsabs=1e-11, epsrel=1e-10)[0]
-    n = eps.size
-    return 2.0 * (res[:n] + 1j * res[n:])
 
 
 @dataclass(frozen=True)
@@ -266,15 +216,10 @@ class ScatteringTable:
         return bool(pos.min() + margin <= abs(k) <= pos.max() - margin)
 
 
-def build_table(disp: DispersionRelation, gamma: float, n_k: int = 512,
-                delta_excl: float = 0.02,
-                pv_nodes: int = _DEFAULT_PV_NODES) -> ScatteringTable:
-    """Fill a ScatteringTable over a uniform grid via the PV route.
-
-    Grid points are cell centers of an n_k-point subdivision of the torus
-    with the exclusion zone removed.  Any identity violation above tolerance
-    aborts construction, naming the offending wavenumber.
-    """
+def table_grid(disp: DispersionRelation, n_k: int, delta_excl: float) -> np.ndarray:
+    """Cell centers of an n_k-point subdivision of the torus, ascending, with
+    the exclusion zone around the zero-velocity set (and, for an acoustic
+    chain, around the cone point k = 0) removed.  Negation-symmetric."""
     if n_k < 64:
         raise ConfigError("n_k must be >= 64")
     if not (0.0 < delta_excl < 0.25):
@@ -284,16 +229,38 @@ def build_table(disp: DispersionRelation, gamma: float, n_k: int = 512,
     if disp.kind == "acoustic":
         # the cone point is not stationary but nu is undefined at omega=0
         keep &= np.abs(base) > delta_excl
-    k_grid = base[keep]
-    nu = np.empty(k_grid.size, dtype=complex)
-    wp = np.empty(k_grid.size, dtype=complex)
-    absorb = np.empty(k_grid.size)
-    p_plus = np.empty(k_grid.size)
-    p_minus = np.empty(k_grid.size)
-    for i, k in enumerate(k_grid):
+    return base[keep]
+
+
+def build_table(disp: DispersionRelation, gamma: float, n_k: int = 512,
+                delta_excl: float = 0.02,
+                pv_nodes: int = _DEFAULT_PV_NODES) -> ScatteringTable:
+    """Fill a ScatteringTable over `table_grid` via the PV route.
+
+    nu and the coefficients are even in k, so they are computed on k > 0
+    and mirrored onto k < 0; the grid's negation symmetry is checked first.
+    Any identity violation above tolerance aborts construction, naming the
+    offending wavenumber.
+    """
+    k_grid = table_grid(disp, n_k, delta_excl)
+    half = k_grid.size // 2
+    k_pos = k_grid[half:]
+    if k_grid.size % 2 or \
+            np.max(np.abs(k_grid[:half] + k_pos[::-1]), initial=0.0) > _GRID_SYMMETRY_TOL:
+        raise TableConstructionError(
+            "k-grid is not symmetric under k -> -k; the mirrored table would be wrong"
+        )
+    nu = np.empty(k_pos.size, dtype=complex)
+    wp = np.empty(k_pos.size, dtype=complex)
+    absorb = np.empty(k_pos.size)
+    p_plus = np.empty(k_pos.size)
+    p_minus = np.empty(k_pos.size)
+    for i, k in enumerate(k_pos):
         nu[i] = nu_pv(disp, gamma, float(k), n_nodes=pv_nodes)
         c = coefficients(disp, gamma, float(k), nu[i])
         wp[i], absorb[i], p_plus[i], p_minus[i] = c.wp, c.absorb, c.p_plus, c.p_minus
+    nu, wp, absorb, p_plus, p_minus = (np.concatenate([half[::-1], half])
+                                       for half in (nu, wp, absorb, p_plus, p_minus))
     omp = np.asarray(disp.omega_prime(k_grid))
     sum_res = np.abs(p_plus + p_minus + absorb - 1.0)
     if gamma == 0.0:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phonon_scatter
 from phonon_scatter import ConfigError, run_experiment
 from phonon_scatter.cli import main as cli_main
 from phonon_scatter.harness import resolve_config
@@ -170,6 +175,25 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     monkeypatch.setenv("PHONON_SCATTER_THREADS", "2")
     assert cli_main(["coefficients", "--config", str(good),
                      "--out", str(tmp_path / "o5")]) == 0
+
+
+def test_cli_rejects_non_integer_thread_env(tmp_path, monkeypatch, capsys):
+    good = _write_cfg(tmp_path, "good.json",
+                      {"kernel": "nn_unpinned", "gamma": 1.0, "table": BASE_TABLE})
+    monkeypatch.setenv("PHONON_SCATTER_THREADS", "abc")
+    assert cli_main(["coefficients", "--config", str(good),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "config rejected" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the child imports the same package the suite is testing
+    src = str(Path(phonon_scatter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, phonon_scatter.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_seed_override_changes_manifest(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from phonon_scatter import (ConfigError, CouplingKernel, DispersionRelation,
                             DomainError, hat_alpha, kernel_from_spec, nn_pinned,
                             nn_unpinned)
+from phonon_scatter.lattice import _hat_alpha_prime
 
 
 def test_hat_alpha_nearest_neighbour_values():
@@ -11,6 +12,20 @@ def test_hat_alpha_nearest_neighbour_values():
     assert hat_alpha(ker, 0.25) == pytest.approx(2.0, abs=1e-14)
     assert hat_alpha(ker, 0.0) == pytest.approx(0.0, abs=1e-14)
     assert hat_alpha(nn_pinned(1.0), 0.0) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_hat_alpha_cosine_sum_matches_exponential_sum():
+    coeffs = {0: 2.6, 1: -1.0, 2: -0.2, 3: -0.05}
+    ker = CouplingKernel(coeffs, decay_constant=4.0)
+    k = np.linspace(-0.5, 0.5, 1001)
+    full = {**coeffs, **{-y: a for y, a in coeffs.items()}}
+    ref = sum(a * np.exp(-2j * np.pi * k * y) for y, a in full.items())
+    np.testing.assert_allclose(hat_alpha(ker, k), ref.real, rtol=0, atol=1e-14)
+    ref_prime = sum(-2j * np.pi * y * a * np.exp(-2j * np.pi * k * y)
+                    for y, a in full.items())
+    np.testing.assert_allclose(_hat_alpha_prime(ker, k), ref_prime.real,
+                               rtol=0, atol=1e-13)
+    assert isinstance(hat_alpha(ker, 0.1), float)
 
 
 def test_hat_alpha_positive_and_kind(disp_unpinned, disp_pinned):

@@ -4,6 +4,8 @@ from scipy.special import j0
 
 from phonon_scatter import (DomainError, HorizonError, MemoryKernel,
                             g_star_series, g_star_series_curve, j_eval, j_laplace)
+from phonon_scatter.memory import j_laplace_batch
+from phonon_scatter.scattering import table_grid
 
 
 def test_j_at_zero_and_bessel_oracle(disp_unpinned):
@@ -28,6 +30,22 @@ def test_j_laplace_closed_form_and_positivity(disp_unpinned, disp_pinned):
     assert abs(1e3 * j_laplace(disp_unpinned, 1e3) - 1.0) < 1e-5
     with pytest.raises(DomainError):
         j_laplace(disp_unpinned, -1.0 + 0.5j)
+
+
+@pytest.mark.parametrize("disp_name,closed_form", [
+    # principal square roots throughout
+    ("disp_unpinned", lambda lam: 1.0 / np.sqrt(lam**2 + 4.0)),
+    ("disp_pinned", lambda lam: lam / (np.sqrt(lam**2 + 1.0) * np.sqrt(lam**2 + 5.0))),
+])
+def test_j_laplace_batch_closed_forms_on_table_grid(disp_name, closed_form, request):
+    disp = request.getfixturevalue(disp_name)
+    eps = np.array([1e-2, 1e-3, 1e-4])
+    worst = 0.0
+    for k in table_grid(disp, 512, 0.02):
+        u = float(disp.omega(k))
+        got = j_laplace_batch(disp, eps, u, pole=abs(float(k)))
+        worst = max(worst, float(np.max(np.abs(got - closed_form(eps - 1j * u)))))
+    assert worst < 1e-10
 
 
 def test_g_tilde_contraction(disp_unpinned, mk_unpinned_g1):

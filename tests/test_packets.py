@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from phonon_scatter import (ConfigError, Envelope, WavePacketSpec, gibbs_ensemble,
                             gibbs_state, init_rng, packet_energy_target,
@@ -20,6 +21,14 @@ def test_envelope_profiles():
         Envelope("sawtooth", 0.2)
     with pytest.raises(ConfigError):
         Envelope("cosine", -0.1)
+
+
+def test_smooth_envelope_l2_matches_adaptive_quadrature():
+    for width in (0.05, 0.2, 1.0):
+        env = Envelope("smooth", width)
+        ref = quad(lambda x: env.profile(x) ** 2, -width, width,
+                   epsabs=1e-15, epsrel=1e-13, limit=400)[0]
+        assert env.l2_squared() == pytest.approx(ref, rel=1e-12)
 
 
 def test_packet_energy_normalization(disp_unpinned):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from phonon_scatter import (ConfigError, MemoryKernel, SingularZoneError,
-                            build_table, coefficients, nu_laplace_limit, nu_pv)
+                            TableConstructionError, build_table, coefficients,
+                            nu_laplace_limit, nu_pv)
+from phonon_scatter import scattering
 from conftest import ABSORB_QUARTER, NU_QUARTER, P_MINUS_QUARTER, P_PLUS_QUARTER
 
 
@@ -84,6 +86,22 @@ def test_table_identities_and_bounds(table_unpinned_g1):
     # exclusion zone really excluded
     assert np.min(np.abs(np.abs(tab.k_grid) - 0.5)) > 0.02
     assert np.min(np.abs(tab.k_grid)) > 0.02
+
+
+def test_mirrored_table_matches_direct_evaluation(disp_unpinned, table_unpinned_g1):
+    tab = table_unpinned_g1
+    for i in (0, 57, tab.k_grid.size // 2 - 1):
+        k = float(tab.k_grid[i])
+        assert k < 0
+        assert tab.nu[i] == nu_pv(disp_unpinned, 1.0, k)
+        assert tab.p_plus[i] == coefficients(disp_unpinned, 1.0, k, tab.nu[i]).p_plus
+
+
+def test_table_rejects_asymmetric_grid(disp_unpinned, monkeypatch):
+    grid = scattering.table_grid(disp_unpinned, 128, 0.02)
+    monkeypatch.setattr(scattering, "table_grid", lambda *args: grid + 1e-6)
+    with pytest.raises(TableConstructionError):
+        build_table(disp_unpinned, 1.0, n_k=128, delta_excl=0.02)
 
 
 def test_table_gamma_zero(disp_unpinned):
