@@ -22,11 +22,11 @@ from .memory import (MemoryKernel, g_star_series, g_star_series_curve, j_eval,
                      j_laplace)
 from .scattering import (Coefficients, ScatteringTable, build_table, coefficients,
                          nu_laplace_limit, nu_pv)
-from .dynamics import (ChainState, EnsembleNoise, NoisePath, ThermostatParams,
-                       Trajectory, dump_snapshots, energy_balance_residual,
-                       load_snapshots, p0_free, p0_volterra, psi_spectral_mild,
-                       run_direct, site_coordinates, step_direct,
-                       state_from_wave_field, wave_field, wave_field_hat)
+from .dynamics import (ChainState, EnsembleNoise, ThermostatParams, Trajectory,
+                       dump_snapshots, energy_balance_residual, load_snapshots,
+                       p0_free, p0_volterra, psi_spectral_mild, run_direct,
+                       site_coordinates, state_from_wave_field, wave_field,
+                       wave_field_hat)
 from .packets import (Envelope, WavePacketSpec, gibbs_ensemble, gibbs_state,
                       init_rng, packet_energy_target, sample_initial)
 from .wigner import (ProductionBin, ScatteringFractions, WignerEstimate,

@@ -1,10 +1,19 @@
 """Command-line front end: `phonon-scatter <command> --config <file> ...`.
 
-Exit codes: 0 when every check passes, 1 on check failures, 2 on config
-rejection (the failing precondition is printed), 3 when a validity guard
-flagged the run.  The worker-pool size resolves as the
-PHONON_SCATTER_THREADS environment variable, then --threads, then the
-config value.
+Exit codes:
+
+0  every check passed
+1  at least one check failed
+2  config rejected, with the failing precondition printed: ConfigError
+   (including an unknown or missing config key), DomainError (a wavenumber
+   in a singular zone, a time beyond a kernel horizon) and
+   UnsupportedBranchError
+3  a validity guard flagged the run: InvalidRunError (for example the
+   wraparound guard) and TableConstructionError
+
+Every typed error of the package maps to one of these codes.  The
+worker-pool size resolves as the PHONON_SCATTER_THREADS environment
+variable, then --threads, then the config value.
 """
 
 from __future__ import annotations
@@ -15,7 +24,8 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, InvalidRunError
+from .errors import (ConfigError, DomainError, InvalidRunError,
+                     TableConstructionError, UnsupportedBranchError)
 from .harness import EXPERIMENTS, run_experiment
 
 
@@ -47,6 +57,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config rejected: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
+    if not isinstance(config, dict):
+        print(f"config rejected: {args.config} is not a JSON object", file=sys.stderr)
+        return 2
     config["experiment"] = command
     if args.seed is not None:
         config["seed"] = args.seed
@@ -63,10 +76,10 @@ def main(argv=None) -> int:
     outdir = args.out if args.out is not None else Path("out") / command
     try:
         report = run_experiment(config, outdir)
-    except ConfigError as exc:
+    except (ConfigError, DomainError, UnsupportedBranchError) as exc:
         print(f"config rejected: {exc}", file=sys.stderr)
         return 2
-    except InvalidRunError as exc:
+    except (InvalidRunError, TableConstructionError) as exc:
         print(f"invalid run: {exc}", file=sys.stderr)
         return 3
     for check in report.checks:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedBranchError
+from .errors import ConfigError, InvalidRunError, UnsupportedBranchError
 from .lattice import CouplingKernel, DispersionRelation, hat_alpha
 from .memory import MemoryKernel, _trapezoid_convolve
 
@@ -50,25 +50,6 @@ class ThermostatParams:
     def __post_init__(self):
         if self.gamma < 0 or self.temperature < 0:
             raise ConfigError("gamma and temperature must be non-negative")
-
-
-class NoisePath:
-    """Reproducible Brownian increments for one trajectory.
-
-    Increments are N(0, dt) drawn lazily and sequentially from a Philox
-    counter-based generator keyed by the 64-bit seed: identical seeds give
-    bit-identical sequences.
-    """
-
-    def __init__(self, seed: int, dt: float):
-        if dt <= 0:
-            raise ConfigError("dt must be positive")
-        self.seed = int(seed)
-        self.dt = float(dt)
-        self._rng = np.random.Generator(np.random.Philox(key=self.seed))
-
-    def increments(self, n: int) -> np.ndarray:
-        return self._rng.standard_normal(n) * np.sqrt(self.dt)
 
 
 class EnsembleNoise:
@@ -97,22 +78,17 @@ class EnsembleNoise:
 
 @dataclass
 class ChainState:
-    """Momenta/positions of one ring, with the microscopic clock."""
+    """Momenta/positions of one ring."""
 
     N: int
     p: np.ndarray
     q: np.ndarray
-    t_micro: float = 0.0
 
     def __post_init__(self):
         if self.N & (self.N - 1):
             raise ConfigError("lattice size N must be a power of two")
         if self.p.shape[-1] != self.N or self.q.shape[-1] != self.N:
             raise ConfigError("state arrays must have trailing length N")
-
-    @classmethod
-    def zeros(cls, N: int) -> "ChainState":
-        return cls(N, np.zeros(N), np.zeros(N))
 
     def energy(self, kernel: CouplingKernel) -> float:
         """Total energy sum |psi_y|^2 = 2 H(p, q) of the periodic surrogate."""
@@ -156,11 +132,11 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
                noise_block: int = 4096):
     """Advance (p, q) in place by n_steps of the splitting integrator.
 
-    `noise` may be None (required to be so unless gamma > 0 and T > 0), a
-    NoisePath, an EnsembleNoise matching the leading batch axis, or a
-    pre-drawn increment array of shape (n_steps, ...batch).  Returns a
-    Trajectory when `record` is set, else None.  `snapshot_fn(p, q)` output
-    is collected every `snapshot_every` steps (and at the end).
+    `noise` may be None (required to be so unless gamma > 0 and T > 0), an
+    EnsembleNoise matching the leading batch axis, or a pre-drawn increment
+    array of shape (n_steps, ...batch).  Returns a Trajectory when `record`
+    is set, else None.  `snapshot_fn(p, q)` output is collected every
+    `snapshot_every` steps (and at the end).
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -194,9 +170,6 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
             return None
         if isinstance(noise, np.ndarray):
             return noise[n0 : n0 + count]
-        if isinstance(noise, NoisePath):
-            inc = noise.increments(count)
-            return inc.reshape((count,) + (1,) * len(batch)) if batch else inc
         if isinstance(noise, EnsembleNoise):
             return noise.block(count)
         raise ConfigError(f"unsupported noise source {type(noise)!r}")
@@ -234,15 +207,6 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
     return traj
 
 
-def step_direct(state: ChainState, kernel: CouplingKernel,
-                disp: DispersionRelation, params: ThermostatParams,
-                dt: float, noise: NoisePath | None = None) -> ChainState:
-    """Single step on a ChainState (convenience wrapper over run_direct)."""
-    run_direct(state.p, state.q, kernel, disp, params, dt, 1, noise=noise)
-    state.t_micro += dt
-    return state
-
-
 def wave_field(p: np.ndarray, q: np.ndarray, disp: DispersionRelation) -> np.ndarray:
     """Complex wave field psi with psi_hat(k) = omega(k) q_hat(k) + i p_hat(k).
 
@@ -277,8 +241,9 @@ def state_from_wave_field(psi: np.ndarray, disp: DispersionRelation) -> tuple[np
     q_hat[..., nz] = 0.5 * (psi_hat[..., nz] + reflect[..., nz]) / om[nz]
     p = np.fft.ifft((psi_hat - reflect) / 2j, axis=-1)
     q = np.fft.ifft(q_hat, axis=-1)
-    assert np.max(np.abs(p.imag)) < 1e-9 * max(1.0, np.max(np.abs(p.real)))
-    assert np.max(np.abs(q.imag)) < 1e-9 * max(1.0, np.max(np.abs(q.real)))
+    for x in (p, q):
+        if not np.max(np.abs(x.imag)) < 1e-9 * max(1.0, np.max(np.abs(x.real))):
+            raise InvalidRunError("wave field is not the image of a real (p, q)")
     return p.real.copy(), q.real.copy()
 
 

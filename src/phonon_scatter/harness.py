@@ -1,15 +1,18 @@
 """Configuration-driven experiments with reproducible reports.
 
 Configs are JSON trees; named presets are config fragments merged key by
-key (explicit keys win, nested dicts merge recursively).  Every runner
-validates the full config against the module preconditions before any
-compute starts, echoes the config into its report, and emits CSV tables
-whose bytes depend only on (config, seed).
+key (explicit keys win, nested dicts merge recursively).  `run_experiment`
+is the one pipeline: it resolves the config and checks its keys (an unknown
+or missing key is a ConfigError naming the key and the experiment), opens
+the RunReport, starts the clock, builds the kernel and dispersion relation,
+calls the runner, stops the clock and writes `manifest.json`.  A runner
+validates its own preconditions before any compute, adds its checks and
+writes CSV tables whose bytes depend only on (config, seed).
 
 Experiments
 -----------
 coefficients     scattering table, identity checks, PV-vs-resolvent oracle
-scattering       deterministic packet run(s), energy fractions vs the table
+scattering       deterministic packet run, energy fractions vs the table
 convergence      scattering with an N sweep and monotonicity check
 production       thermal ensemble from vacuum, wedge plateaus vs absorb*T
 equilibrium      Gibbs start, stationarity of the spectral energy density
@@ -28,8 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (EnsembleNoise, ThermostatParams, dump_snapshots, run_direct,
-                       site_coordinates, wave_field, wave_field_hat)
+from .dynamics import (_STABILITY_MARGIN, EnsembleNoise, ThermostatParams,
+                       dump_snapshots, run_direct, site_coordinates, wave_field,
+                       wave_field_hat)
 from .errors import ConfigError, InvalidRunError
 from .kinetics import (CosineBumpSquaredProfile, LimitSolution, SeparableInitialData,
                        boundary_residual, equilibrium_initial_data,
@@ -41,9 +45,6 @@ from .packets import WavePacketSpec, gibbs_ensemble, init_rng, sample_initial
 from .scattering import build_table, nu_laplace_limit
 from .wigner import (production_profile, scattering_fractions, wavenumber_grid,
                      wigner_estimate)
-
-EXPERIMENTS = ("coefficients", "scattering", "convergence", "production",
-               "equilibrium", "transport_check")
 
 SEAM_GUARD_FRACTION = 1e-6
 
@@ -143,34 +144,31 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _build_stage(cfg: dict):
-    kernel = kernel_from_spec(cfg.get("kernel", "nn_unpinned"))
-    disp = DispersionRelation(kernel)
-    return kernel, disp
+def _table(cfg: dict, disp):
+    tcfg = cfg["table"]
+    return build_table(disp, float(cfg["gamma"]), n_k=int(tcfg["n_k"]),
+                       delta_excl=float(tcfg["delta_excl"]))
 
 
-def _validate_lattice(cfg: dict, disp) -> None:
-    N = cfg.get("N")
+def _n_steps(cfg: dict, disp, N) -> int:
+    """Validate N, dt and t_macro; return the step count t_macro*N/dt."""
     _require(isinstance(N, int) and N > 0 and not (N & (N - 1)),
              "N must be a positive power of two")
     dt = cfg.get("dt")
     _require(isinstance(dt, (int, float)) and dt > 0, "dt must be positive")
-    _require(dt * disp.omega_max < 0.5,
-             f"dt*omega_max = {dt * disp.omega_max:.3f} violates the stability margin 0.5")
-    _require(cfg.get("t_macro", 0) > 0, "t_macro must be positive")
+    _require(dt * disp.omega_max < _STABILITY_MARGIN,
+             f"dt*omega_max = {dt * disp.omega_max:.3f} violates the stability "
+             f"margin {_STABILITY_MARGIN}")
+    t_macro = cfg.get("t_macro", 0)
+    _require(isinstance(t_macro, (int, float)) and t_macro > 0,
+             "t_macro must be positive")
+    return int(round(float(t_macro) * N / float(dt)))
 
 
 # -- experiment: coefficients -------------------------------------------------
 
-def run_coefficients(cfg: dict, outdir: Path) -> RunReport:
-    cfg = resolve_config(cfg)
-    report = RunReport("coefficients", cfg)
-    t0 = time.perf_counter()
-    kernel, disp = _build_stage(cfg)
-    tcfg = cfg["table"]
-    gamma = float(cfg["gamma"])
-    table = build_table(disp, gamma, n_k=int(tcfg["n_k"]),
-                        delta_excl=float(tcfg["delta_excl"]))
+def run_coefficients(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> None:
+    table = _table(cfg, disp)
     report.add(Check.leq("sum_identity_max_residual", table.max_sum_residual, 1e-8))
     report.add(Check.leq("re_nu_identity_max_residual", table.max_renu_residual, 1e-6))
     # evenness of nu under k -> -k: build_table checks that the grid is
@@ -180,7 +178,7 @@ def run_coefficients(cfg: dict, outdir: Path) -> RunReport:
     # PV vs resolvent boundary-value oracle
     stride = int(cfg.get("cross_oracle_stride", 1))
     mcfg = cfg.get("memory", {})
-    mk = MemoryKernel(disp, gamma, dt=float(mcfg.get("dt", 1e-3)),
+    mk = MemoryKernel(disp, float(cfg["gamma"]), dt=float(mcfg.get("dt", 1e-3)),
                       horizon=float(mcfg.get("horizon", 0.5)))
     sel = np.arange(table.k_grid.size)[::stride]
     diffs = np.array([abs(nu_laplace_limit(mk, float(table.k_grid[i])) - table.nu[i])
@@ -194,8 +192,6 @@ def run_coefficients(cfg: dict, outdir: Path) -> RunReport:
         "set xlabel 'k'\nset ylabel 'probability'\n"
         "plot 'coefficients.csv' using 1:5 with lines, "
         "'' using 1:6 with lines, '' using 1:4 with lines\n")
-    report.wall_seconds = time.perf_counter() - t0
-    return report
 
 
 # -- experiment: scattering / convergence ------------------------------------
@@ -206,21 +202,13 @@ def _seam_energy_fraction(psi: np.ndarray, total: float) -> float:
     return float(np.sum(np.abs(psi[..., seam]) ** 2) / total)
 
 
-def _one_scattering_run(cfg: dict, kernel, disp, N: int):
-    pcfg = cfg["packet"]
-    spec = WavePacketSpec(x_center=float(pcfg["x_center"]),
-                          k_center=float(pcfg["k_center"]),
-                          width=float(pcfg["width"]),
-                          envelope=pcfg.get("envelope", "cosine"),
-                          phase_random=bool(pcfg.get("phase_random", True)))
-    state = sample_initial(spec, N, disp, rng=init_rng(int(cfg["seed"])),
-                           delta_excl=float(cfg["table"]["delta_excl"]))
+def _one_scattering_run(cfg: dict, kernel, disp, k_center: float, state,
+                        n_steps: int):
+    N = state.N
     psi0 = wave_field(state.p, state.q, disp)
     total0 = float(np.sum(np.abs(psi0) ** 2))
     e0 = total0 / N
     params = ThermostatParams(float(cfg["gamma"]), 0.0)
-    dt = float(cfg["dt"])
-    n_steps = int(round(float(cfg["t_macro"]) * N / dt))
     guard_every = max(1, n_steps // 8)
     seam_max = 0.0
 
@@ -229,7 +217,7 @@ def _one_scattering_run(cfg: dict, kernel, disp, N: int):
         seam_max = max(seam_max, _seam_energy_fraction(wave_field(p, q, disp), total0))
         return None
 
-    run_direct(state.p, state.q, kernel, disp, params, dt, n_steps,
+    run_direct(state.p, state.q, kernel, disp, params, float(cfg["dt"]), n_steps,
                snapshot_every=guard_every, snapshot_fn=snap)
     psi = wave_field(state.p, state.q, disp)
     if seam_max > SEAM_GUARD_FRACTION:
@@ -237,36 +225,39 @@ def _one_scattering_run(cfg: dict, kernel, disp, N: int):
             f"wraparound guard tripped: seam energy fraction {seam_max:.2e} "
             f"exceeds {SEAM_GUARD_FRACTION:.0e} at N={N}"
         )
-    fr = scattering_fractions(psi, disp, spec.k_center, e0,
+    fr = scattering_fractions(psi, disp, k_center, e0,
                               window_halfwidth=float(cfg.get("window_halfwidth", 0.1)))
-    return spec, fr, seam_max, state
+    return fr, seam_max
 
 
-def run_scattering(cfg: dict, outdir: Path, sweep: bool = False) -> RunReport:
-    cfg = resolve_config(cfg)
-    name = "convergence" if sweep else "scattering"
-    report = RunReport(name, cfg)
-    t0 = time.perf_counter()
+def run_scattering(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> None:
+    """One packet run; the convergence experiment repeats it over sweep_N."""
+    sweep = report.experiment == "convergence"
     _require(float(cfg["temperature"]) == 0.0,
              "scattering experiments are zero-temperature")
-    kernel, disp = _build_stage(cfg)
-    Ns = [int(n) for n in cfg.get("sweep_N", [cfg.get("N")])] if sweep else [int(cfg["N"])]
-    for N in Ns:
-        _validate_lattice({**cfg, "N": N}, disp)
-    tcfg = cfg["table"]
-    table = build_table(disp, float(cfg["gamma"]), n_k=int(tcfg["n_k"]),
-                        delta_excl=float(tcfg["delta_excl"]))
+    Ns = cfg.get("sweep_N", [cfg.get("N")]) if sweep else [cfg.get("N")]
+    steps = [_n_steps(cfg, disp, N) for N in Ns]
+    pcfg = cfg["packet"]
+    spec = WavePacketSpec(x_center=float(pcfg["x_center"]),
+                          k_center=float(pcfg["k_center"]),
+                          width=float(pcfg["width"]),
+                          envelope=pcfg.get("envelope", "cosine"),
+                          phase_random=bool(pcfg.get("phase_random", True)))
+    # sampling checks the packet preconditions, so do it before any compute
+    states = [sample_initial(spec, N, disp, rng=init_rng(int(cfg["seed"])),
+                             delta_excl=float(cfg["table"]["delta_excl"])) for N in Ns]
+    table = _table(cfg, disp)
     tol = float(cfg.get("fraction_tolerance", 0.05))
+    kc = spec.k_center
     rows = []
     errors = []
-    for N in Ns:
+    for N, n_steps, state in zip(Ns, steps, states):
         try:
-            spec, fr, seam, state = _one_scattering_run(cfg, kernel, disp, N)
+            fr, seam = _one_scattering_run(cfg, kernel, disp, kc, state, n_steps)
         except InvalidRunError as exc:
             report.invalid = True
             report.notes.append(str(exc))
             break
-        kc = spec.k_center
         if cfg.get("dump_state"):
             dump_snapshots(outdir / f"state_N{N}.bin", [(state.p, state.q)],
                            dt=float(cfg["dt"]),
@@ -287,12 +278,10 @@ def run_scattering(cfg: dict, outdir: Path, sweep: bool = False) -> RunReport:
         growth = max(errors[i + 1] / max(errors[i], 1e-300)
                      for i in range(len(errors) - 1))
         report.add(Check.leq("sweep_error_growth", growth, 1.0 + slack))
-    _write_csv(outdir / f"{name}.csv",
+    _write_csv(outdir / f"{report.experiment}.csv",
                ["N", "transmitted", "reflected", "absorbed",
                 "p_plus", "p_minus", "absorb", "max_error", "seam_fraction"],
                rows)
-    report.wall_seconds = time.perf_counter() - t0
-    return report
 
 
 # -- thermal ensembles ---------------------------------------------------------
@@ -327,9 +316,7 @@ def run_thermal_ensemble(kernel, disp, params: ThermostatParams, N: int, dt: flo
         noise = EnsembleNoise(seed0 + a, m, dt) if (
             params.gamma > 0 and params.temperature > 0) else None
         traj = run_direct(p, q, kernel, disp, params, dt, n_steps, noise=noise,
-                          snapshot_every=snapshot_every,
-                          snapshot_fn=(None if snapshot_fn is None
-                                       else (lambda pp, qq: snapshot_fn(pp, qq))))
+                          snapshot_every=snapshot_every, snapshot_fn=snapshot_fn)
         return a, b, p, q, ([] if traj is None else traj.snapshots)
 
     if threads == 1:
@@ -341,32 +328,23 @@ def run_thermal_ensemble(kernel, disp, params: ThermostatParams, N: int, dt: flo
         p_out[a:b] = p
         q_out[a:b] = q
         snaps[a] = s
-    ordered_snaps = [snaps[a] for a, _ in chunks]
-    return p_out, q_out, ordered_snaps
+    return p_out, q_out, [snaps[a] for a, _ in chunks]
 
 
 # -- experiment: production ----------------------------------------------------
 
-def run_production(cfg: dict, outdir: Path) -> RunReport:
-    cfg = resolve_config(cfg)
-    report = RunReport("production", cfg)
-    t0 = time.perf_counter()
+def run_production(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> None:
     T = float(cfg["temperature"])
     _require(T > 0, "production requires temperature > 0")
-    kernel, disp = _build_stage(cfg)
-    _validate_lattice(cfg, disp)
-    N = int(cfg["N"])
+    N = cfg.get("N")
+    n_steps = _n_steps(cfg, disp, N)
     M = int(cfg.get("ensemble", {}).get("paths", 1000))
     _require(M >= 1, "ensemble.paths must be >= 1")
-    tcfg = cfg["table"]
-    table = build_table(disp, float(cfg["gamma"]), n_k=int(tcfg["n_k"]),
-                        delta_excl=float(tcfg["delta_excl"]))
-    dt = float(cfg["dt"])
+    table = _table(cfg, disp)
     t_macro = float(cfg["t_macro"])
-    n_steps = int(round(t_macro * N / dt))
     params = ThermostatParams(float(cfg["gamma"]), T)
-    p, q, _ = run_thermal_ensemble(kernel, disp, params, N, dt, n_steps, M,
-                                   int(cfg["seed"]), threads=int(cfg["threads"]))
+    p, q, _ = run_thermal_ensemble(kernel, disp, params, N, float(cfg["dt"]), n_steps,
+                                   M, int(cfg["seed"]), threads=int(cfg["threads"]))
     psi = wave_field(p, q, disp)
     band = tuple(cfg.get("k_band", (0.15, 0.35)))
     bins, warnings = production_profile(psi, disp, table, T, t_macro,
@@ -383,35 +361,23 @@ def run_production(cfg: dict, outdir: Path) -> RunReport:
                      f"{b.stderr:.2e}", f"{b.prediction:.8f}", f"{ratio:.5f}"])
     _write_csv(outdir / "production.csv",
                ["k_lo", "k_hi", "wedge_density", "stderr", "absorb_T", "ratio"], rows)
-    report.wall_seconds = time.perf_counter() - t0
-    return report
 
 
 # -- experiment: equilibrium ----------------------------------------------------
 
-def run_equilibrium(cfg: dict, outdir: Path) -> RunReport:
-    cfg = resolve_config(cfg)
-    report = RunReport("equilibrium", cfg)
-    t0 = time.perf_counter()
+def run_equilibrium(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> None:
     T = float(cfg["temperature"])
     _require(T > 0, "equilibrium requires temperature > 0")
-    kernel, disp = _build_stage(cfg)
-    _validate_lattice(cfg, disp)
-    N = int(cfg["N"])
+    N = cfg.get("N")
+    n_steps = _n_steps(cfg, disp, N)
     M = int(cfg.get("ensemble", {}).get("paths", 200))
-    dt = float(cfg["dt"])
-    n_steps = int(round(float(cfg["t_macro"]) * N / dt))
     n_records = int(cfg.get("records", 5))
     stride = max(1, n_steps // n_records)
     params = ThermostatParams(float(cfg["gamma"]), T)
-
-    def snap(p, q):
-        return wave_field_hat(p, q, disp)
-
-    p, q, snaps = run_thermal_ensemble(kernel, disp, params, N, dt, n_steps, M,
-                                       int(cfg["seed"]), threads=int(cfg["threads"]),
-                                       gibbs_temperature=T,
-                                       snapshot_every=stride, snapshot_fn=snap)
+    p, q, snaps = run_thermal_ensemble(
+        kernel, disp, params, N, float(cfg["dt"]), n_steps, M, int(cfg["seed"]),
+        threads=int(cfg["threads"]), gibbs_temperature=T, snapshot_every=stride,
+        snapshot_fn=lambda p, q: wave_field_hat(p, q, disp))
     n_snaps = min(len(s) for s in snaps)
     delta = float(cfg["table"]["delta_excl"])
     k = wavenumber_grid(N)
@@ -445,25 +411,15 @@ def run_equilibrium(cfg: dict, outdir: Path) -> RunReport:
     final_hat = np.concatenate([s[n_snaps - 1] for s in snaps], axis=0)
     est = wigner_estimate(final_hat, eps, eta_max=0)
     est.export_csv(outdir / "wigner_eta0.csv", limit=lambda k: T)
-    report.wall_seconds = time.perf_counter() - t0
-    return report
 
 
 # -- experiment: transport_check -------------------------------------------------
 
-def run_transport_check(cfg: dict, outdir: Path) -> RunReport:
-    cfg = resolve_config(cfg)
-    report = RunReport("transport_check", cfg)
-    t0 = time.perf_counter()
-    kernel, disp = _build_stage(cfg)
-    tcfg = cfg["table"]
-    gamma = float(cfg["gamma"])
+def run_transport_check(cfg: dict, kernel, disp, report: RunReport,
+                        outdir: Path) -> None:
     # the closed-form residual checks need a nonzero production term
-    T = float(cfg.get("temperature", 1.0))
-    if T == 0.0:
-        T = 1.0
-    table = build_table(disp, gamma, n_k=int(tcfg["n_k"]),
-                        delta_excl=float(tcfg["delta_excl"]))
+    T = float(cfg["temperature"]) or 1.0
+    table = _table(cfg, disp)
     prof = CosineBumpSquaredProfile(center=float(cfg.get("profile_center", -0.3)),
                                     width=float(cfg.get("profile_width", 0.25)))
     spectral = lambda k: 0.6 + 0.4 * np.cos(2 * np.pi * np.asarray(k, dtype=float))
@@ -500,30 +456,76 @@ def run_transport_check(cfg: dict, outdir: Path) -> RunReport:
     _write_csv(outdir / "transport_check.csv",
                ["k_or_spot", "boundary_residual", "equilibrium_boundary_residual",
                 "equilibrium_deviation"], rows)
-    report.wall_seconds = time.perf_counter() - t0
-    return report
 
 
 RUNNERS = {
     "coefficients": run_coefficients,
-    "scattering": lambda cfg, out: run_scattering(cfg, out, sweep=False),
-    "convergence": lambda cfg, out: run_scattering(cfg, out, sweep=True),
+    "scattering": run_scattering,
+    "convergence": run_scattering,
     "production": run_production,
     "equilibrium": run_equilibrium,
     "transport_check": run_transport_check,
 }
+EXPERIMENTS = tuple(RUNNERS)
+
+# The top-level keys each experiment reads besides COMMON_KEYS, the keys of
+# each block, and the block keys that runners index without a default.
+COMMON_KEYS = {"experiment", "presets", "kernel", "gamma", "temperature", "seed",
+               "threads", "table"}
+_LATTICE_KEYS = {"N", "dt", "t_macro"}
+_SCATTERING_KEYS = _LATTICE_KEYS | {"packet", "window_halfwidth",
+                                    "fraction_tolerance", "dump_state"}
+CONFIG_KEYS = {
+    "coefficients": {"cross_oracle_stride", "memory"},
+    "scattering": _SCATTERING_KEYS,
+    "convergence": _SCATTERING_KEYS | {"sweep_N", "sweep_slack"},
+    "production": _LATTICE_KEYS | {"ensemble", "k_band", "n_bins", "min_samples",
+                                   "plateau_ratio_tolerance"},
+    "equilibrium": _LATTICE_KEYS | {"ensemble", "records", "n_bins"},
+    "transport_check": {"profile_center", "profile_width", "check_wavenumbers",
+                        "transform_spots"},
+}
+BLOCK_KEYS = {
+    "table": {"n_k", "delta_excl"},
+    "packet": {"x_center", "k_center", "width", "envelope", "phase_random"},
+    "ensemble": {"paths"},
+    "memory": {"dt", "horizon"},
+}
+REQUIRED_KEYS = {"table": ("n_k", "delta_excl"),
+                 "packet": ("x_center", "k_center", "width")}
+
+
+def _check_keys(experiment: str, config: dict, cfg: dict) -> None:
+    """Reject unknown keys in the caller's config and missing indexed keys."""
+    allowed = COMMON_KEYS | CONFIG_KEYS[experiment]
+    for key, val in config.items():
+        _require(key in allowed, f"{experiment}: unknown config key {key!r}")
+        if key in BLOCK_KEYS:
+            _require(isinstance(val, dict), f"{experiment}: {key!r} must be an object")
+            for sub in val:
+                _require(sub in BLOCK_KEYS[key],
+                         f"{experiment}: unknown config key '{key}.{sub}'")
+    for key in allowed & REQUIRED_KEYS.keys():
+        _require(key in cfg, f"{experiment}: missing config key {key!r}")
+        for sub in REQUIRED_KEYS[key]:
+            _require(sub in cfg[key], f"{experiment}: missing config key '{key}.{sub}'")
 
 
 def run_experiment(config: dict, outdir) -> RunReport:
-    """Dispatch a validated config to its experiment runner."""
+    """Resolve and check the config, run its experiment, write the manifest."""
     experiment = config.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"experiment must be one of {EXPERIMENTS}, got {experiment!r}"
-        )
+    _require(experiment in RUNNERS,
+             f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
+    cfg = resolve_config(config)
+    _check_keys(experiment, config, cfg)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    report = RUNNERS[experiment](config, outdir)
+    report = RunReport(experiment, cfg)
+    t0 = time.perf_counter()
+    kernel = kernel_from_spec(cfg.get("kernel", "nn_unpinned"))
+    disp = DispersionRelation(kernel)
+    RUNNERS[experiment](cfg, kernel, disp, report, outdir)
+    report.wall_seconds = time.perf_counter() - t0
     with (outdir / "manifest.json").open("w") as fh:
         json.dump(report.manifest(), fh, indent=2, sort_keys=True)
         fh.write("\n")

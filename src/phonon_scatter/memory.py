@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, HorizonError
+from .errors import ConfigError, DomainError, HorizonError, InvalidRunError
 from .lattice import DispersionRelation, panel_integrate
 
 _BASE_NODES = 2048
@@ -145,8 +145,9 @@ class MemoryKernel:
         self.t_grid = np.arange(self.n_steps + 1) * self.dt
         self.j_samples = j_eval(disp, self.t_grid, per_time=_GRID_NODES_PER_TIME)
         self.gstar_samples = self._march_volterra(self.j_samples, self.gamma, self.dt)
-        assert abs(self.j_samples[0] - 1.0) < 1e-12
-        assert np.max(np.abs(self.j_samples)) <= 1.0 + 1e-9
+        if not (abs(self.j_samples[0] - 1.0) < 1e-12
+                and np.max(np.abs(self.j_samples)) <= 1.0 + 1e-9):
+            raise InvalidRunError("memory function violates J(0) = 1, |J| <= 1")
 
     @staticmethod
     def _march_volterra(j: np.ndarray, gamma: float, dt: float) -> np.ndarray:

@@ -4,11 +4,10 @@ from scipy.stats import kstest
 
 from phonon_scatter import (ChainState, ConfigError, CouplingKernel,
                             DispersionRelation, EnsembleNoise, HorizonError,
-                            MemoryKernel, NoisePath, ThermostatParams,
-                            UnsupportedBranchError, energy_balance_residual,
-                            nn_unpinned, p0_volterra, psi_spectral_mild, run_direct,
-                            site_coordinates, state_from_wave_field, step_direct,
-                            wave_field, wave_field_hat)
+                            MemoryKernel, ThermostatParams, UnsupportedBranchError,
+                            energy_balance_residual, nn_unpinned, p0_volterra,
+                            psi_spectral_mild, run_direct, site_coordinates,
+                            state_from_wave_field, wave_field, wave_field_hat)
 
 
 def _random_state(N, scale=0.1, seed=7):
@@ -25,10 +24,10 @@ def _packet_field(N, xc, kc, w):
 
 
 def test_noise_reproducible_and_normal():
-    a = NoisePath(42, 0.01).increments(1000)
-    b = NoisePath(42, 0.01).increments(1000)
+    a = EnsembleNoise(42, 1, 0.01).block(1000)
+    b = EnsembleNoise(42, 1, 0.01).block(1000)
     assert np.array_equal(a, b)
-    draws = NoisePath(7, 1.0).increments(100_000)
+    draws = EnsembleNoise(7, 1, 1.0).block(100_000)[:, 0]
     assert kstest(draws, "norm").pvalue > 0.01
 
 
@@ -36,7 +35,8 @@ def test_ensemble_noise_per_path_keys():
     ens = EnsembleNoise(100, 3, 0.01)
     block = ens.block(50)
     for i in range(3):
-        assert np.array_equal(block[:, i], NoisePath(100 + i, 0.01).increments(50))
+        rng = np.random.Generator(np.random.Philox(key=100 + i))
+        assert np.array_equal(block[:, i], rng.standard_normal(50) * np.sqrt(0.01))
 
 
 def test_trajectory_determinism(disp_unpinned):
@@ -44,7 +44,7 @@ def test_trajectory_determinism(disp_unpinned):
     results = []
     for _ in range(2):
         p, q = np.zeros(64), np.zeros(64)
-        noise = NoisePath(11, 0.02)
+        noise = EnsembleNoise(11, 1, 0.02)
         run_direct(p, q, ker, disp_unpinned, ThermostatParams(1.0, 0.5), 0.02, 500,
                    noise=noise)
         results.append((p.copy(), q.copy()))
@@ -119,7 +119,7 @@ def test_strong_order_under_path_refinement(disp_unpinned):
     T, gamma = 0.5, 1.0
     dt_f = 1e-3
     n_f = 4000
-    fine = NoisePath(21, dt_f).increments(n_f)
+    fine = EnsembleNoise(21, 1, dt_f).block(n_f)[:, 0]
     p_f, q_f = _random_state(64, seed=5)
     run_direct(p_f, q_f, ker, disp_unpinned, ThermostatParams(gamma, T), dt_f, n_f,
                noise=fine.copy())
@@ -234,13 +234,6 @@ def test_cross_solver_field_contracts(disp_unpinned):
         rels.append(np.linalg.norm(mild - direct) / np.linalg.norm(direct))
     assert rels[0] < 10 * 4e-3
     assert rels[0] / rels[1] >= 1.8
-
-
-def test_step_direct_wrapper(disp_unpinned):
-    st = ChainState.zeros(64)
-    st.p[3] = 1.0
-    step_direct(st, nn_unpinned(), disp_unpinned, ThermostatParams(), 0.01)
-    assert st.t_micro == pytest.approx(0.01)
 
 
 def test_chain_state_validation():

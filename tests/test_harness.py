@@ -186,6 +186,37 @@ def test_cli_rejects_non_integer_thread_env(tmp_path, monkeypatch, capsys):
     assert "config rejected" in capsys.readouterr().err
 
 
+SCATTER_NO_PACKET = {"kernel": "nn_unpinned", "gamma": 1.0, "temperature": 0.0,
+                     "N": 512, "dt": 0.02, "t_macro": 0.52, "table": BASE_TABLE}
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("coefficients", {"kernel": "nn_unpinned", "gamme": 5.0, "table": BASE_TABLE},
+     ["coefficients", "'gamme'"]),
+    ("scattering", SCATTER_NO_PACKET, ["scattering", "'packet'"]),
+    ("convergence", {**SCATTER_NO_PACKET, "packet": {"x_center": -0.18,
+                                                     "k_center": 0.25}},
+     ["convergence", "'packet.width'"]),
+    ("coefficients", {"kernel": "nn_unpinned", "table": {"n_k": 128}},
+     ["coefficients", "'table.delta_excl'"]),
+    ("production", {"kernel": "nn_unpinned", "table": {**BASE_TABLE, "nk": 64}},
+     ["production", "'table.nk'"]),
+    ("equilibrium", {"kernel": "nn_unpinned", "cross_oracle_stride": 4},
+     ["equilibrium", "'cross_oracle_stride'"]),
+    # a wavenumber inside the exclusion zone: SingularZoneError, not a failed check
+    ("transport_check", {"kernel": "nn_unpinned", "table": BASE_TABLE,
+                         "check_wavenumbers": [0.49]}, ["k=0.49"]),
+])
+def test_cli_rejects_config_with_exit_2(tmp_path, capsys, command, cfg, named):
+    path = _write_cfg(tmp_path, "cfg.json", cfg)
+    assert cli_main([command.replace("_", "-"), "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config rejected: ") and "Traceback" not in err
+    for word in named:
+        assert word in err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # the child imports the same package the suite is testing
     src = str(Path(phonon_scatter.__file__).resolve().parents[1])
