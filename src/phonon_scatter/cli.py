@@ -5,9 +5,9 @@ Exit codes:
 0  every check passed
 1  at least one check failed
 2  config rejected, with the failing precondition printed: ConfigError
-   (including an unknown or missing config key), DomainError (a wavenumber
-   in a singular zone, a time beyond a kernel horizon) and
-   UnsupportedBranchError
+   (including a config key that is unknown, missing or of the wrong type),
+   DomainError (a wavenumber in a singular zone, a time beyond a kernel
+   horizon) and UnsupportedBranchError
 3  a validity guard flagged the run: InvalidRunError (for example the
    wraparound guard) and TableConstructionError
 

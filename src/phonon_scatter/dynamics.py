@@ -38,6 +38,8 @@ from .lattice import CouplingKernel, DispersionRelation, hat_alpha
 from .memory import MemoryKernel, _trapezoid_convolve
 
 _STABILITY_MARGIN = 0.5
+# steps of noise drawn per EnsembleNoise block
+_NOISE_BLOCK = 4096
 
 
 @dataclass
@@ -128,8 +130,7 @@ class Trajectory:
 def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
                disp: DispersionRelation, params: ThermostatParams, dt: float,
                n_steps: int, noise=None, record: bool = False,
-               snapshot_every: int = 0, snapshot_fn=None,
-               noise_block: int = 4096):
+               snapshot_every: int = 0, snapshot_fn=None):
     """Advance (p, q) in place by n_steps of the splitting integrator.
 
     `noise` may be None (required to be so unless gamma > 0 and T > 0), an
@@ -177,7 +178,7 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
     conv = np.fft.irfft(ah * np.fft.rfft(q, axis=-1), n=N, axis=-1)
     step = 0
     while step < n_steps:
-        count = min(noise_block, n_steps - step)
+        count = min(_NOISE_BLOCK, n_steps - step)
         dw_block = draw(step, count)
         for j in range(count):
             if record:
@@ -214,10 +215,7 @@ def wave_field(p: np.ndarray, q: np.ndarray, disp: DispersionRelation) -> np.nda
     twice the Hamiltonian exactly (the omega cross term cancels in the
     k-sum by evenness).
     """
-    N = p.shape[-1]
-    om = omega_full_grid(disp, N)
-    psi_hat = om * np.fft.fft(q, axis=-1) + 1j * np.fft.fft(p, axis=-1)
-    return np.fft.ifft(psi_hat, axis=-1)
+    return np.fft.ifft(wave_field_hat(p, q, disp), axis=-1)
 
 
 def wave_field_hat(p: np.ndarray, q: np.ndarray, disp: DispersionRelation) -> np.ndarray:

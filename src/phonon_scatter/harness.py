@@ -1,13 +1,15 @@
 """Configuration-driven experiments with reproducible reports.
 
-Configs are JSON trees; named presets are config fragments merged key by
-key (explicit keys win, nested dicts merge recursively).  `run_experiment`
-is the one pipeline: it resolves the config and checks its keys (an unknown
-or missing key is a ConfigError naming the key and the experiment), opens
-the RunReport, starts the clock, builds the kernel and dispersion relation,
-calls the runner, stops the clock and writes `manifest.json`.  A runner
-validates its own preconditions before any compute, adds its checks and
-writes CSV tables whose bytes depend only on (config, seed).
+Configs are JSON objects.  `KEYS` declares every key of each experiment
+once, with its type and default.  `run_experiment` is the one pipeline: it
+walks the config against that table (an unknown key, a missing required key
+or a value of the wrong type is a ConfigError naming the key and the
+experiment) and fills in every default, opens the RunReport, starts the
+clock, builds the kernel and dispersion relation, calls the runner, stops
+the clock and writes `manifest.json`, whose config lists every value the run
+used.  A runner reads `cfg[key]` as given, validates its own preconditions
+before any compute, adds its checks and writes CSV tables whose bytes depend
+only on (config, seed).
 
 Experiments
 -----------
@@ -47,42 +49,94 @@ from .wigner import (production_profile, scattering_fractions, wavenumber_grid,
                      wigner_estimate)
 
 SEAM_GUARD_FRACTION = 1e-6
+# width of the macroscopic band |x| >= 1/2 - SEAM_BAND that the wraparound
+# guard watches and that a production front must not reach
+SEAM_BAND = 1 / 8
 
-PRESETS: dict[str, dict] = {
-    "nn_unpinned": {"kernel": "nn_unpinned"},
-    "nn_pinned": {"kernel": "nn_pinned(1.0)"},
-    "default_table": {"table": {"n_k": 512, "delta_excl": 0.02}},
-    "default_packet": {
-        "packet": {"x_center": -0.2, "k_center": 0.25, "width": 0.1,
-                   "envelope": "cosine", "phase_random": True},
-    },
-}
+# -- config keys ----------------------------------------------------------------
+# Every key an experiment reads, once, as name: (type, default).  A type is a
+# Python type (float also takes a JSON integer), a tuple of types, [t] for a
+# list of t, [t, t, ...] for a list of exactly that many t, or a dict of keys
+# for a block.  REQUIRED means no default.  A block left out takes its keys'
+# defaults; one whose default is WHOLE must, when given, name every key.
+
+REQUIRED = object()
+WHOLE = object()
+
+_COMMON = {"experiment": (str, REQUIRED), "kernel": ((str, dict), "nn_unpinned"),
+           "gamma": (float, 1.0), "temperature": (float, 0.0), "seed": (int, 0),
+           "threads": (int, 1),
+           "table": ({"n_k": (int, 512), "delta_excl": (float, 0.02)}, WHOLE)}
+_LATTICE = {"N": (int, REQUIRED), "dt": (float, REQUIRED), "t_macro": (float, REQUIRED)}
+_SCATTERING = {**_LATTICE,
+               "packet": ({"x_center": (float, REQUIRED), "k_center": (float, REQUIRED),
+                           "width": (float, REQUIRED), "envelope": (str, "cosine"),
+                           "phase_random": (bool, True)}, REQUIRED),
+               "window_halfwidth": (float, 0.1), "fraction_tolerance": (float, 0.05),
+               "dump_state": (bool, False)}
+KEYS = {name: {**_COMMON, **keys} for name, keys in {
+    "coefficients": {"cross_oracle_stride": (int, 1),
+                     "memory": ({"dt": (float, 1e-3), "horizon": (float, 0.5)}, {})},
+    "scattering": _SCATTERING,
+    # a given sweep replaces N
+    "convergence": {**_SCATTERING, "N": (int, None), "sweep_N": ([int], None),
+                    "sweep_slack": (float, 0.2)},
+    "production": {**_LATTICE, "ensemble": ({"paths": (int, 1000)}, {}),
+                   "k_band": ([float, float], [0.15, 0.35]), "n_bins": (int, 8),
+                   "min_samples": (int, 1000), "plateau_ratio_tolerance": (float, 0.1)},
+    "equilibrium": {**_LATTICE, "ensemble": ({"paths": (int, 200)}, {}),
+                    "records": (int, 5), "n_bins": (int, 40)},
+    "transport_check": {
+        "profile_center": (float, -0.3), "profile_width": (float, 0.25),
+        "check_wavenumbers": ([float], [0.25, 0.3]),
+        "transform_spots": ([[float, float, float]], [[1.0, 2.0, 0.25]])},
+}.items()}
 
 
-def _deep_merge(base: dict, extra: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in extra.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
+def _walk(experiment: str, keys: dict, config: dict, prefix: str = "",
+          whole: bool = False) -> dict:
+    """`config` checked against `keys`, with every default filled in."""
+    for key in config:
+        _require(key in keys, f"{experiment}: unknown config key '{prefix}{key}'")
+    out = {}
+    for key, (kind, default) in keys.items():
+        name = prefix + key
+        if key in config:
+            out[key] = _typed(experiment, name, kind, config[key], default is WHOLE)
+            continue
+        _require(default is not REQUIRED and not whole,
+                 f"{experiment}: missing config key '{name}'")
+        out[key] = (_walk(experiment, kind, {}, name + ".") if isinstance(kind, dict)
+                    else copy.deepcopy(default))
     return out
 
 
+def _typed(experiment: str, name: str, kind, value, whole: bool = False):
+    """The value of config key `name` checked against `kind`; a JSON
+    integer given for a float comes back as a float."""
+    def wrong(what):
+        return ConfigError(f"{experiment}: config key '{name}' must be {what}, "
+                           f"got {value!r}")
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise wrong("an object")
+        return _walk(experiment, kind, value, name + ".", whole)
+    if isinstance(kind, list):
+        if not isinstance(value, list) or len(kind) > 1 and len(value) != len(kind):
+            raise wrong("a list" if len(kind) == 1 else f"a list of {len(kind)}")
+        return [_typed(experiment, name, kind[0], v) for v in value]
+    if isinstance(value, bool) != (kind is bool) or \
+            not isinstance(value, (int, float) if kind is float else kind):
+        names = kind if isinstance(kind, tuple) else (kind,)
+        raise wrong(" or ".join(t.__name__ for t in names))
+    return float(value) if kind is float else value
+
+
 def resolve_config(config: dict) -> dict:
-    """Apply presets, then fill experiment-independent defaults."""
-    merged: dict = {}
-    for name in config.get("presets", []):
-        if name not in PRESETS:
-            raise ConfigError(f"unknown preset {name!r}")
-        merged = _deep_merge(merged, PRESETS[name])
-    merged = _deep_merge(merged, {k: v for k, v in config.items() if k != "presets"})
-    merged.setdefault("gamma", 1.0)
-    merged.setdefault("temperature", 0.0)
-    merged.setdefault("seed", 0)
-    merged.setdefault("threads", 1)
-    merged.setdefault("table", {"n_k": 512, "delta_excl": 0.02})
-    return merged
+    """`config` with the common defaults filled in, unchecked: the keys are
+    checked by `run_experiment`, against the experiment's table."""
+    common = {key: entry for key, entry in _COMMON.items() if key != "experiment"}
+    return {**_walk("config", common, {}), **config}
 
 
 @dataclass
@@ -145,24 +199,20 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _table(cfg: dict, disp):
-    tcfg = cfg["table"]
-    return build_table(disp, float(cfg["gamma"]), n_k=int(tcfg["n_k"]),
-                       delta_excl=float(tcfg["delta_excl"]))
+    return build_table(disp, cfg["gamma"], **cfg["table"])
 
 
 def _n_steps(cfg: dict, disp, N) -> int:
     """Validate N, dt and t_macro; return the step count t_macro*N/dt."""
     _require(isinstance(N, int) and N > 0 and not (N & (N - 1)),
              "N must be a positive power of two")
-    dt = cfg.get("dt")
-    _require(isinstance(dt, (int, float)) and dt > 0, "dt must be positive")
+    dt = cfg["dt"]
+    _require(dt > 0, "dt must be positive")
     _require(dt * disp.omega_max < _STABILITY_MARGIN,
              f"dt*omega_max = {dt * disp.omega_max:.3f} violates the stability "
              f"margin {_STABILITY_MARGIN}")
-    t_macro = cfg.get("t_macro", 0)
-    _require(isinstance(t_macro, (int, float)) and t_macro > 0,
-             "t_macro must be positive")
-    return int(round(float(t_macro) * N / float(dt)))
+    _require(cfg["t_macro"] > 0, "t_macro must be positive")
+    return int(round(cfg["t_macro"] * N / dt))
 
 
 # -- experiment: coefficients -------------------------------------------------
@@ -176,11 +226,8 @@ def run_coefficients(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -
     even_res = float(np.max(np.abs(table.nu - table.nu[::-1])))
     report.add(Check.leq("nu_evenness_max_residual", even_res, 1e-10))
     # PV vs resolvent boundary-value oracle
-    stride = int(cfg.get("cross_oracle_stride", 1))
-    mcfg = cfg.get("memory", {})
-    mk = MemoryKernel(disp, float(cfg["gamma"]), dt=float(mcfg.get("dt", 1e-3)),
-                      horizon=float(mcfg.get("horizon", 0.5)))
-    sel = np.arange(table.k_grid.size)[::stride]
+    mk = MemoryKernel(disp, cfg["gamma"], **cfg["memory"])
+    sel = np.arange(table.k_grid.size)[::cfg["cross_oracle_stride"]]
     diffs = np.array([abs(nu_laplace_limit(mk, float(table.k_grid[i])) - table.nu[i])
                       for i in sel])
     report.add(Check.leq("nu_cross_oracle_max_diff", float(diffs.max()), 1e-3))
@@ -198,7 +245,7 @@ def run_coefficients(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -
 
 def _seam_energy_fraction(psi: np.ndarray, total: float) -> float:
     N = psi.shape[-1]
-    seam = np.abs(site_coordinates(N)) >= N // 2 - N // 8
+    seam = np.abs(site_coordinates(N)) >= N * (0.5 - SEAM_BAND)
     return float(np.sum(np.abs(psi[..., seam]) ** 2) / total)
 
 
@@ -208,7 +255,7 @@ def _one_scattering_run(cfg: dict, kernel, disp, k_center: float, state,
     psi0 = wave_field(state.p, state.q, disp)
     total0 = float(np.sum(np.abs(psi0) ** 2))
     e0 = total0 / N
-    params = ThermostatParams(float(cfg["gamma"]), 0.0)
+    params = ThermostatParams(cfg["gamma"], 0.0)
     guard_every = max(1, n_steps // 8)
     seam_max = 0.0
 
@@ -217,7 +264,7 @@ def _one_scattering_run(cfg: dict, kernel, disp, k_center: float, state,
         seam_max = max(seam_max, _seam_energy_fraction(wave_field(p, q, disp), total0))
         return None
 
-    run_direct(state.p, state.q, kernel, disp, params, float(cfg["dt"]), n_steps,
+    run_direct(state.p, state.q, kernel, disp, params, cfg["dt"], n_steps,
                snapshot_every=guard_every, snapshot_fn=snap)
     psi = wave_field(state.p, state.q, disp)
     if seam_max > SEAM_GUARD_FRACTION:
@@ -226,28 +273,22 @@ def _one_scattering_run(cfg: dict, kernel, disp, k_center: float, state,
             f"exceeds {SEAM_GUARD_FRACTION:.0e} at N={N}"
         )
     fr = scattering_fractions(psi, disp, k_center, e0,
-                              window_halfwidth=float(cfg.get("window_halfwidth", 0.1)))
+                              window_halfwidth=cfg["window_halfwidth"])
     return fr, seam_max
 
 
 def run_scattering(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> None:
     """One packet run; the convergence experiment repeats it over sweep_N."""
     sweep = report.experiment == "convergence"
-    _require(float(cfg["temperature"]) == 0.0,
-             "scattering experiments are zero-temperature")
-    Ns = cfg.get("sweep_N", [cfg.get("N")]) if sweep else [cfg.get("N")]
+    _require(cfg["temperature"] == 0.0, "scattering experiments are zero-temperature")
+    Ns = cfg["sweep_N"] if sweep and cfg["sweep_N"] is not None else [cfg["N"]]
     steps = [_n_steps(cfg, disp, N) for N in Ns]
-    pcfg = cfg["packet"]
-    spec = WavePacketSpec(x_center=float(pcfg["x_center"]),
-                          k_center=float(pcfg["k_center"]),
-                          width=float(pcfg["width"]),
-                          envelope=pcfg.get("envelope", "cosine"),
-                          phase_random=bool(pcfg.get("phase_random", True)))
+    spec = WavePacketSpec(**cfg["packet"])
     # sampling checks the packet preconditions, so do it before any compute
-    states = [sample_initial(spec, N, disp, rng=init_rng(int(cfg["seed"])),
-                             delta_excl=float(cfg["table"]["delta_excl"])) for N in Ns]
+    states = [sample_initial(spec, N, disp, rng=init_rng(cfg["seed"]),
+                             delta_excl=cfg["table"]["delta_excl"]) for N in Ns]
     table = _table(cfg, disp)
-    tol = float(cfg.get("fraction_tolerance", 0.05))
+    tol = cfg["fraction_tolerance"]
     kc = spec.k_center
     rows = []
     errors = []
@@ -258,11 +299,10 @@ def run_scattering(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> 
             report.invalid = True
             report.notes.append(str(exc))
             break
-        if cfg.get("dump_state"):
+        if cfg["dump_state"]:
             dump_snapshots(outdir / f"state_N{N}.bin", [(state.p, state.q)],
-                           dt=float(cfg["dt"]),
-                           times=[float(cfg["t_macro"]) * N],
-                           seed=int(cfg["seed"]), kernel_name=kernel.name)
+                           dt=cfg["dt"], times=[cfg["t_macro"] * N],
+                           seed=cfg["seed"], kernel_name=kernel.name)
         targets = (float(table.p_plus_at(kc)), float(table.p_minus_at(kc)),
                    float(table.absorb_at(kc)))
         measured = (fr.transmitted, fr.reflected, fr.absorbed)
@@ -274,10 +314,9 @@ def run_scattering(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> 
                                measured, targets):
             report.add(Check.within(f"{label}_fraction_N{N}", m, t, tol))
     if sweep and len(errors) == len(Ns) and len(errors) > 1:
-        slack = float(cfg.get("sweep_slack", 0.2))
         growth = max(errors[i + 1] / max(errors[i], 1e-300)
                      for i in range(len(errors) - 1))
-        report.add(Check.leq("sweep_error_growth", growth, 1.0 + slack))
+        report.add(Check.leq("sweep_error_growth", growth, 1.0 + cfg["sweep_slack"]))
     _write_csv(outdir / f"{report.experiment}.csv",
                ["N", "transmitted", "reflected", "absorbed",
                 "p_plus", "p_minus", "absorb", "max_error", "seam_fraction"],
@@ -334,25 +373,29 @@ def run_thermal_ensemble(kernel, disp, params: ThermostatParams, N: int, dt: flo
 # -- experiment: production ----------------------------------------------------
 
 def run_production(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> None:
-    T = float(cfg["temperature"])
+    T = cfg["temperature"]
     _require(T > 0, "production requires temperature > 0")
-    N = cfg.get("N")
+    N = cfg["N"]
     n_steps = _n_steps(cfg, disp, N)
-    M = int(cfg.get("ensemble", {}).get("paths", 1000))
+    # from vacuum, no energy outruns the top group velocity: keep that front
+    # out of the band the seam guard watches
+    v_max = float(np.max(np.abs(disp.group_velocity(np.linspace(0.0, 0.5, 1025)))))
+    _require(cfg["t_macro"] * v_max < 0.5 - SEAM_BAND,
+             f"t_macro must be below {(0.5 - SEAM_BAND) / v_max:.3f}, where the front "
+             f"at group velocity {v_max:.3f} reaches the seam band")
+    M = cfg["ensemble"]["paths"]
     _require(M >= 1, "ensemble.paths must be >= 1")
     table = _table(cfg, disp)
-    t_macro = float(cfg["t_macro"])
-    params = ThermostatParams(float(cfg["gamma"]), T)
-    p, q, _ = run_thermal_ensemble(kernel, disp, params, N, float(cfg["dt"]), n_steps,
-                                   M, int(cfg["seed"]), threads=int(cfg["threads"]))
+    params = ThermostatParams(cfg["gamma"], T)
+    p, q, _ = run_thermal_ensemble(kernel, disp, params, N, cfg["dt"], n_steps,
+                                   M, cfg["seed"], threads=cfg["threads"])
     psi = wave_field(p, q, disp)
-    band = tuple(cfg.get("k_band", (0.15, 0.35)))
-    bins, warnings = production_profile(psi, disp, table, T, t_macro,
-                                        k_band=band,
-                                        n_bins=int(cfg.get("n_bins", 8)),
-                                        min_samples=int(cfg.get("min_samples", 1000)))
+    bins, warnings = production_profile(psi, disp, table, T, cfg["t_macro"],
+                                        k_band=tuple(cfg["k_band"]),
+                                        n_bins=cfg["n_bins"],
+                                        min_samples=cfg["min_samples"])
     report.notes.extend(warnings)
-    ratio_tol = float(cfg.get("plateau_ratio_tolerance", 0.1))
+    ratio_tol = cfg["plateau_ratio_tolerance"]
     rows = []
     for b in bins:
         ratio = b.estimate / b.prediction if b.prediction else float("nan")
@@ -366,25 +409,23 @@ def run_production(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> 
 # -- experiment: equilibrium ----------------------------------------------------
 
 def run_equilibrium(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> None:
-    T = float(cfg["temperature"])
+    T = cfg["temperature"]
     _require(T > 0, "equilibrium requires temperature > 0")
-    N = cfg.get("N")
+    N = cfg["N"]
     n_steps = _n_steps(cfg, disp, N)
-    M = int(cfg.get("ensemble", {}).get("paths", 200))
-    n_records = int(cfg.get("records", 5))
-    stride = max(1, n_steps // n_records)
-    params = ThermostatParams(float(cfg["gamma"]), T)
+    stride = max(1, n_steps // cfg["records"])
+    params = ThermostatParams(cfg["gamma"], T)
     p, q, snaps = run_thermal_ensemble(
-        kernel, disp, params, N, float(cfg["dt"]), n_steps, M, int(cfg["seed"]),
-        threads=int(cfg["threads"]), gibbs_temperature=T, snapshot_every=stride,
-        snapshot_fn=lambda p, q: wave_field_hat(p, q, disp))
+        kernel, disp, params, N, cfg["dt"], n_steps, cfg["ensemble"]["paths"],
+        cfg["seed"], threads=cfg["threads"], gibbs_temperature=T,
+        snapshot_every=stride, snapshot_fn=lambda p, q: wave_field_hat(p, q, disp))
     n_snaps = min(len(s) for s in snaps)
-    delta = float(cfg["table"]["delta_excl"])
+    delta = cfg["table"]["delta_excl"]
     k = wavenumber_grid(N)
     keep = disp.distance_to_stationary(k) > delta
     if disp.kind == "acoustic":
         keep &= np.abs(k) > delta
-    edges = np.linspace(-0.5, 0.5, int(cfg.get("n_bins", 40)) + 1)
+    edges = np.linspace(-0.5, 0.5, cfg["n_bins"] + 1)
     rows = []
     worst = 0.0
     eps = 1.0 / N
@@ -418,21 +459,20 @@ def run_equilibrium(cfg: dict, kernel, disp, report: RunReport, outdir: Path) ->
 def run_transport_check(cfg: dict, kernel, disp, report: RunReport,
                         outdir: Path) -> None:
     # the closed-form residual checks need a nonzero production term
-    T = float(cfg["temperature"]) or 1.0
+    T = cfg["temperature"] or 1.0
     table = _table(cfg, disp)
-    prof = CosineBumpSquaredProfile(center=float(cfg.get("profile_center", -0.3)),
-                                    width=float(cfg.get("profile_width", 0.25)))
+    prof = CosineBumpSquaredProfile(center=cfg["profile_center"],
+                                    width=cfg["profile_width"])
     spectral = lambda k: 0.6 + 0.4 * np.cos(2 * np.pi * np.asarray(k, dtype=float))
     data = SeparableInitialData(prof, spectral)
     sol = LimitSolution.from_separable(data, table, temperature=T, disp=disp)
     sol_eq = LimitSolution(w0=equilibrium_initial_data(T), table=table,
                            temperature=T, disp=disp)
-    ks = [float(v) for v in cfg.get("check_wavenumbers", (0.25, 0.3))]
     rows = []
     worst_boundary = 0.0
     worst_eq = 0.0
     worst_transport = 0.0
-    for k in ks:
+    for k in cfg["check_wavenumbers"]:
         rb = boundary_residual(sol, 1.0, k)
         rq = boundary_residual(sol_eq, 1.0, k)
         worst_boundary = max(worst_boundary, rb, rq)
@@ -445,11 +485,10 @@ def run_transport_check(cfg: dict, kernel, disp, report: RunReport,
     report.add(Check.leq("boundary_residual_max", worst_boundary, 1e-12))
     report.add(Check.leq("equilibrium_invariance_max", worst_eq, 1e-12))
     report.add(Check.leq("transport_fd_residual_max", worst_transport, 1e-6))
-    spots = cfg.get("transform_spots", [[1.0, 2.0, 0.25]])
     worst_pair = 0.0
-    for lam, eta, k in spots:
-        an = laplace_fourier_limit(sol, float(lam), float(eta), float(k))
-        num = laplace_fourier_numeric(sol, float(lam), float(eta), float(k))
+    for lam, eta, k in cfg["transform_spots"]:
+        an = laplace_fourier_limit(sol, lam, eta, k)
+        num = laplace_fourier_numeric(sol, lam, eta, k)
         worst_pair = max(worst_pair, abs(an - num))
         rows.append([f"spot({lam},{eta},{k})", f"{abs(an - num):.3e}", "", ""])
     report.add(Check.leq("transform_pair_max_diff", worst_pair, 1e-3))
@@ -468,61 +507,19 @@ RUNNERS = {
 }
 EXPERIMENTS = tuple(RUNNERS)
 
-# The top-level keys each experiment reads besides COMMON_KEYS, the keys of
-# each block, and the block keys that runners index without a default.
-COMMON_KEYS = {"experiment", "presets", "kernel", "gamma", "temperature", "seed",
-               "threads", "table"}
-_LATTICE_KEYS = {"N", "dt", "t_macro"}
-_SCATTERING_KEYS = _LATTICE_KEYS | {"packet", "window_halfwidth",
-                                    "fraction_tolerance", "dump_state"}
-CONFIG_KEYS = {
-    "coefficients": {"cross_oracle_stride", "memory"},
-    "scattering": _SCATTERING_KEYS,
-    "convergence": _SCATTERING_KEYS | {"sweep_N", "sweep_slack"},
-    "production": _LATTICE_KEYS | {"ensemble", "k_band", "n_bins", "min_samples",
-                                   "plateau_ratio_tolerance"},
-    "equilibrium": _LATTICE_KEYS | {"ensemble", "records", "n_bins"},
-    "transport_check": {"profile_center", "profile_width", "check_wavenumbers",
-                        "transform_spots"},
-}
-BLOCK_KEYS = {
-    "table": {"n_k", "delta_excl"},
-    "packet": {"x_center", "k_center", "width", "envelope", "phase_random"},
-    "ensemble": {"paths"},
-    "memory": {"dt", "horizon"},
-}
-REQUIRED_KEYS = {"table": ("n_k", "delta_excl"),
-                 "packet": ("x_center", "k_center", "width")}
-
-
-def _check_keys(experiment: str, config: dict, cfg: dict) -> None:
-    """Reject unknown keys in the caller's config and missing indexed keys."""
-    allowed = COMMON_KEYS | CONFIG_KEYS[experiment]
-    for key, val in config.items():
-        _require(key in allowed, f"{experiment}: unknown config key {key!r}")
-        if key in BLOCK_KEYS:
-            _require(isinstance(val, dict), f"{experiment}: {key!r} must be an object")
-            for sub in val:
-                _require(sub in BLOCK_KEYS[key],
-                         f"{experiment}: unknown config key '{key}.{sub}'")
-    for key in allowed & REQUIRED_KEYS.keys():
-        _require(key in cfg, f"{experiment}: missing config key {key!r}")
-        for sub in REQUIRED_KEYS[key]:
-            _require(sub in cfg[key], f"{experiment}: missing config key '{key}.{sub}'")
-
 
 def run_experiment(config: dict, outdir) -> RunReport:
-    """Resolve and check the config, run its experiment, write the manifest."""
+    """Check the config and fill its defaults, run its experiment, write the
+    manifest."""
     experiment = config.get("experiment")
     _require(experiment in RUNNERS,
              f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    cfg = resolve_config(config)
-    _check_keys(experiment, config, cfg)
+    cfg = _walk(experiment, KEYS[experiment], config)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     report = RunReport(experiment, cfg)
     t0 = time.perf_counter()
-    kernel = kernel_from_spec(cfg.get("kernel", "nn_unpinned"))
+    kernel = kernel_from_spec(cfg["kernel"])
     disp = DispersionRelation(kernel)
     RUNNERS[experiment](cfg, kernel, disp, report, outdir)
     report.wall_seconds = time.perf_counter() - t0

@@ -202,13 +202,12 @@ class DispersionRelation:
     and is not stationary).
     """
 
-    def __init__(self, kernel: CouplingKernel, grid_size: int = VALIDATION_GRID):
+    def __init__(self, kernel: CouplingKernel):
         self.kernel = kernel
         a0 = hat_alpha(kernel, 0.0)
         self.kind = "acoustic" if a0 <= VALIDATION_TOL else "optical"
         self.omega_min = float(math.sqrt(max(a0, 0.0)))
         self.omega_max = float(math.sqrt(hat_alpha(kernel, 0.5)))
-        self.grid = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
         self.stationary_set = (0.5,) if self.kind == "acoustic" else (0.0, 0.5)
         # one-sided slope at the acoustic cone: omega'(0+) = sqrt(a''(0)/2)
         self._cone_slope = (

@@ -166,9 +166,6 @@ class MemoryKernel:
 
     # -- evaluators ---------------------------------------------------------
 
-    def j_eval(self, t) -> np.ndarray | float:
-        return j_eval(self.disp, t)
-
     def j_laplace(self, lam: complex) -> complex:
         return j_laplace(self.disp, lam)
 

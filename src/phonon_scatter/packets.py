@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChainState, site_coordinates, state_from_wave_field, wave_field_hat
+from .dynamics import ChainState, site_coordinates, state_from_wave_field
 from .errors import ConfigError
 from .lattice import DispersionRelation, panel_integrate
 

@@ -44,7 +44,10 @@ from .memory import MemoryKernel, j_laplace_batch
 _SUM_IDENTITY_TOL = 1e-8
 _RENU_IDENTITY_TOL = 1e-6
 _GRID_SYMMETRY_TOL = 1e-14
-_DEFAULT_PV_NODES = 2048
+# the PV window spans 4 cells of a 0.5/_PV_NODES grid around the pole
+_PV_NODES = 2048
+# |omega'| below which nu_pv refuses a wavenumber as inside the singular zone
+_VELOCITY_FLOOR = 1e-3
 
 
 def _resonant_wavenumber(k: float) -> float:
@@ -60,13 +63,11 @@ def _smooth_half_integral(disp: DispersionRelation, u: float) -> float:
     return float(panel_integrate(f, 0.0, 0.5, hot_a=True, hot_b=True, base=2e-4))
 
 
-def _pv_half_integral(disp: DispersionRelation, u: float, l0: float,
-                      n_nodes: int) -> float:
+def _pv_half_integral(disp: DispersionRelation, u: float, l0: float) -> float:
     """PV int_0^{1/2} dl/(u - omega(l)) with the window scheme, for the pole
     l0 in (0, 1/2) with omega(l0) = u."""
-    cell = 0.5 / n_nodes
-    h = 4.0 * cell
-    h = min(h, 0.45 * l0, 0.45 * (0.5 - l0))
+    cell = 0.5 / _PV_NODES
+    h = min(4.0 * cell, 0.45 * l0, 0.45 * (0.5 - l0))
     if h < 16 * np.finfo(float).eps:
         raise SingularZoneError(
             f"PV window cannot fit inside (0, 1/2) for u={u} (pole at l0={l0})"
@@ -82,9 +83,7 @@ def _pv_half_integral(disp: DispersionRelation, u: float, l0: float,
     return window + outer
 
 
-def nu_pv(disp: DispersionRelation, gamma: float, k: float,
-          n_nodes: int = _DEFAULT_PV_NODES,
-          velocity_floor: float = 1e-3) -> complex:
+def nu_pv(disp: DispersionRelation, gamma: float, k: float) -> complex:
     """Interface response by the principal-value route.
 
     Requires omega'(k) != 0; near the zero-velocity set the -i pi/|omega'|
@@ -97,13 +96,13 @@ def nu_pv(disp: DispersionRelation, gamma: float, k: float,
         return 1.0 + 0.0j
     l0 = _resonant_wavenumber(k)
     dp = disp.omega_prime(l0)
-    if abs(dp) < velocity_floor:
+    if abs(dp) < _VELOCITY_FLOOR:
         raise SingularZoneError(f"omega'(k) ~ 0 at k={k}; inside the singular zone")
     u = float(disp.omega(l0))
     if not (disp.omega_min < u < disp.omega_max):
         raise SingularZoneError(f"omega(k)={u} sits at a band edge")
     G = _smooth_half_integral(disp, u)
-    H_re = _pv_half_integral(disp, u, l0, n_nodes)
+    H_re = _pv_half_integral(disp, u, l0)
     denom = 1.0 + 1j * gamma * (G + H_re) + np.pi * gamma / abs(dp)
     out = 1.0 / denom
     if not (np.isfinite(out.real) and np.isfinite(out.imag)):
@@ -233,8 +232,7 @@ def table_grid(disp: DispersionRelation, n_k: int, delta_excl: float) -> np.ndar
 
 
 def build_table(disp: DispersionRelation, gamma: float, n_k: int = 512,
-                delta_excl: float = 0.02,
-                pv_nodes: int = _DEFAULT_PV_NODES) -> ScatteringTable:
+                delta_excl: float = 0.02) -> ScatteringTable:
     """Fill a ScatteringTable over `table_grid` via the PV route.
 
     nu and the coefficients are even in k, so they are computed on k > 0
@@ -256,7 +254,7 @@ def build_table(disp: DispersionRelation, gamma: float, n_k: int = 512,
     p_plus = np.empty(k_pos.size)
     p_minus = np.empty(k_pos.size)
     for i, k in enumerate(k_pos):
-        nu[i] = nu_pv(disp, gamma, float(k), n_nodes=pv_nodes)
+        nu[i] = nu_pv(disp, gamma, float(k))
         c = coefficients(disp, gamma, float(k), nu[i])
         wp[i], absorb[i], p_plus[i], p_minus[i] = c.wp, c.absorb, c.p_plus, c.p_minus
     nu, wp, absorb, p_plus, p_minus = (np.concatenate([half[::-1], half])

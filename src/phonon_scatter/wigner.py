@@ -27,6 +27,9 @@ from .scattering import ScatteringTable
 
 from .dynamics import site_coordinates
 
+# energy fraction allowed to remain inside the interface window
+_INTERFACE_TOLERANCE = 0.01
+
 
 @dataclass(frozen=True)
 class WignerEstimate:
@@ -177,15 +180,14 @@ class ScatteringFractions:
 def scattering_fractions(psi: np.ndarray, disp: DispersionRelation,
                          k_center: float, initial_energy: float,
                          window_halfwidth: float = 0.1,
-                         mask_halfwidth: float | None = None,
-                         interface_tolerance: float = 0.01) -> ScatteringFractions:
+                         mask_halfwidth: float | None = None) -> ScatteringFractions:
     """Split the final wave field's energy into transmitted / reflected /
     absorbed fractions of the initial energy.
 
     The field is first restricted spectrally with smooth masks around
     +-k_center (half-width 16/N by default), then summed over the spatial
     half-lines beyond the interface window.  Absorption is the complement.
-    Raises InvalidRunError when more than `interface_tolerance` of the
+    Raises InvalidRunError when more than _INTERFACE_TOLERANCE of the
     energy is still within the window (the packet has not fully crossed).
     """
     N = psi.shape[-1]
@@ -199,7 +201,7 @@ def scattering_fractions(psi: np.ndarray, disp: DispersionRelation,
 
     residual = eps * np.sum(
         np.abs(psi[np.abs(x) < window_halfwidth]) ** 2) / initial_energy
-    if residual > interface_tolerance:
+    if residual > _INTERFACE_TOLERANCE:
         raise InvalidRunError(
             f"{residual:.1%} of the initial energy still inside |x| < "
             f"{window_halfwidth}; increase t_macro"

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -22,15 +23,21 @@ def _write_cfg(tmp_path, name, cfg):
     return path
 
 
-def test_preset_merge_and_defaults():
-    cfg = resolve_config({"presets": ["nn_unpinned", "default_table"],
-                          "gamma": 2.0, "table": {"n_k": 128}})
-    assert cfg["kernel"] == "nn_unpinned"
-    assert cfg["gamma"] == 2.0
-    assert cfg["table"]["n_k"] == 128          # explicit key wins
-    assert cfg["table"]["delta_excl"] == 0.02  # preset key survives the merge
-    with pytest.raises(ConfigError):
-        resolve_config({"presets": ["no_such_preset"]})
+def test_resolved_config_holds_every_key_with_its_default(tmp_path):
+    run_experiment({"experiment": "transport_check", "gamma": 1,
+                    "check_wavenumbers": [0.25]}, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"] == {
+        "experiment": "transport_check", "kernel": "nn_unpinned", "gamma": 1.0,
+        "temperature": 0.0, "seed": 0, "threads": 1,
+        "table": {"n_k": 512, "delta_excl": 0.02},
+        "profile_center": -0.3, "profile_width": 0.25, "check_wavenumbers": [0.25],
+        "transform_spots": [[1.0, 2.0, 0.25]]}
+    assert isinstance(manifest["config"]["gamma"], float)  # JSON 1 widened
+    # the common defaults alone, for a config that names no experiment
+    cfg = resolve_config({"kernel": "nn_pinned(1.0)", "table": {"n_k": 128}})
+    assert cfg == {"kernel": "nn_pinned(1.0)", "gamma": 1.0, "temperature": 0.0,
+                   "seed": 0, "threads": 1, "table": {"n_k": 128}}
 
 
 def test_unknown_experiment_rejected(tmp_path):
@@ -188,6 +195,9 @@ def test_cli_rejects_non_integer_thread_env(tmp_path, monkeypatch, capsys):
 
 SCATTER_NO_PACKET = {"kernel": "nn_unpinned", "gamma": 1.0, "temperature": 0.0,
                      "N": 512, "dt": 0.02, "t_macro": 0.52, "table": BASE_TABLE}
+PACKET = {"x_center": -0.18, "k_center": 0.25, "width": 0.08}
+PRODUCTION = {"temperature": 1.0, "N": 128, "dt": 0.05, "t_macro": 0.25,
+              "table": BASE_TABLE}
 
 
 @pytest.mark.parametrize("command, cfg, named", [
@@ -206,6 +216,20 @@ SCATTER_NO_PACKET = {"kernel": "nn_unpinned", "gamma": 1.0, "temperature": 0.0,
     # a wavenumber inside the exclusion zone: SingularZoneError, not a failed check
     ("transport_check", {"kernel": "nn_unpinned", "table": BASE_TABLE,
                          "check_wavenumbers": [0.49]}, ["k=0.49"]),
+    # values of the wrong type
+    ("coefficients", {"gamma": "abc", "table": BASE_TABLE}, ["coefficients", "'gamma'"]),
+    ("convergence", {**SCATTER_NO_PACKET, "packet": PACKET, "sweep_N": 512},
+     ["convergence", "'sweep_N'"]),
+    ("scattering", {**SCATTER_NO_PACKET, "packet": {**PACKET, "phase_random": "yes"}},
+     ["scattering", "'packet.phase_random'"]),
+    ("transport_check", {"table": BASE_TABLE, "check_wavenumbers": ["a"]},
+     ["transport_check", "'check_wavenumbers'"]),
+    ("coefficients", {"table": {"n_k": 12.5, "delta_excl": 0.02}},
+     ["coefficients", "'table.n_k'"]),
+    ("production", {**PRODUCTION, "ensemble": 5}, ["production", "'ensemble'"]),
+    ("production", {**PRODUCTION, "k_band": [0.2]}, ["production", "'k_band'"]),
+    # the production front would reach the seam band
+    ("production", {**PRODUCTION, "t_macro": 0.4}, ["t_macro"]),
 ])
 def test_cli_rejects_config_with_exit_2(tmp_path, capsys, command, cfg, named):
     path = _write_cfg(tmp_path, "cfg.json", cfg)
@@ -225,6 +249,15 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_package_has_no_bare_assert():
+    # python -O strips asserts, so every guard in the package is a typed error
+    package = Path(phonon_scatter.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_seed_override_changes_manifest(tmp_path):
