@@ -14,8 +14,7 @@ Layers, from the lattice up:
 """
 
 from .errors import (ConfigError, DomainError, HorizonError, InvalidRunError,
-                     SingularZoneError, TableConstructionError,
-                     UnsupportedBranchError)
+                     SingularZoneError, TableConstructionError)
 from .lattice import (CouplingKernel, DispersionRelation, hat_alpha,
                       kernel_from_spec, nn_pinned, nn_unpinned)
 from .memory import (MemoryKernel, g_star_series, g_star_series_curve, j_eval,

@@ -5,9 +5,10 @@ Exit codes:
 0  every check passed
 1  at least one check failed
 2  config rejected, with the failing precondition printed: ConfigError
-   (including a config key that is unknown, missing or of the wrong type),
+   (including a config key that is unknown, missing or of the wrong type, a
+   count below 1, an empty list, a malformed explicit kernel) and
    DomainError (a wavenumber in a singular zone, a time beyond a kernel
-   horizon) and UnsupportedBranchError
+   horizon)
 3  a validity guard flagged the run: InvalidRunError (for example the
    wraparound guard) and TableConstructionError
 
@@ -25,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .errors import (ConfigError, DomainError, InvalidRunError,
-                     TableConstructionError, UnsupportedBranchError)
+                     TableConstructionError)
 from .harness import EXPERIMENTS, run_experiment
 
 
@@ -76,7 +77,7 @@ def main(argv=None) -> int:
     outdir = args.out if args.out is not None else Path("out") / command
     try:
         report = run_experiment(config, outdir)
-    except (ConfigError, DomainError, UnsupportedBranchError) as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config rejected: {exc}", file=sys.stderr)
         return 2
     except (InvalidRunError, TableConstructionError) as exc:

@@ -23,8 +23,10 @@ ensembles are integrated.
 
 The second, independent route (zero temperature only) evolves the wave
 field spectrally: the free momentum history at site 0 is convolved with the
-memory measure to give p0(t), and psi_hat(t,k) follows from the mild
-formula with the convolution kernel phi(t,k).
+memory measure to give p0(t), and psi_hat(t,k) follows from the Duhamel
+form e^{-i omega t}(psi_hat(0,k) - i gamma int_0^t e^{i omega s} p0(s) ds).
+Both phase sums, over k for p0^0 and over s for psi_hat, are block phase
+rotations on the kernel grid.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidRunError, UnsupportedBranchError
+from .errors import ConfigError, InvalidRunError
 from .lattice import CouplingKernel, DispersionRelation, hat_alpha
-from .memory import MemoryKernel, _trapezoid_convolve
+from .memory import MemoryKernel, _block_rotation, _trapezoid_convolve, _uniform_grid
 
 _STABILITY_MARGIN = 0.5
 # steps of noise drawn per EnsembleNoise block
@@ -248,29 +250,21 @@ def state_from_wave_field(psi: np.ndarray, disp: DispersionRelation) -> tuple[np
 # -- spectral mild route (T = 0) ---------------------------------------------
 
 def p0_free(psi0_hat: np.ndarray, disp: DispersionRelation, t: np.ndarray) -> np.ndarray:
-    """Free-evolution momentum at site 0:
-    p0^0(t) = (1/N) sum_j Im(psi_hat_j e^{-i omega_j t})."""
+    """Free-evolution momentum at site 0 on the uniform grid t = 0, dt, ...:
+    p0^0(t) = (1/N) sum_j Im(psi_hat_j e^{-i omega_j t}), by block phase
+    rotation."""
     N = psi0_hat.shape[-1]
-    om = omega_full_grid(disp, N)
-    out = np.empty(t.size)
-    chunk = max(1, int(4e6 // N))
-    for s in range(0, t.size, chunk):
-        phase = np.exp(-1j * np.multiply.outer(t[s : s + chunk], om))
-        out[s : s + chunk] = (phase @ psi0_hat).imag / N
-    return out
+    dt, n = _uniform_grid(t)
+    return _block_rotation(omega_full_grid(disp, N), dt, n, psi0_hat).imag / N
 
 
-def p0_volterra(psi0_hat: np.ndarray, mk: MemoryKernel, t_end: float,
-                temperature: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def p0_volterra(psi0_hat: np.ndarray, mk: MemoryKernel,
+                t_end: float) -> tuple[np.ndarray, np.ndarray]:
     """Site-0 momentum from the closed memory equation (deterministic branch).
 
     p0 = p0^0 + g_* * p0^0 on the kernel's grid up to t_end; the unit atom
     of the memory measure contributes the first term exactly.
     """
-    if temperature > 0:
-        raise UnsupportedBranchError(
-            "the spectral route is deterministic; stochastic runs use run_direct"
-        )
     n_t = mk._require_on_grid(float(t_end))
     t = mk.t_grid[: n_t + 1]
     p00 = p0_free(psi0_hat, mk.disp, t)
@@ -278,39 +272,27 @@ def p0_volterra(psi0_hat: np.ndarray, mk: MemoryKernel, t_end: float,
     return t, p0
 
 
-def psi_spectral_mild(psi0_hat: np.ndarray, mk: MemoryKernel, t_end: float,
-                      temperature: float = 0.0) -> np.ndarray:
-    """Wave field at time t_end from the mild formula (T = 0)
+def psi_spectral_mild(psi0_hat: np.ndarray, mk: MemoryKernel,
+                      t_end: float) -> np.ndarray:
+    """Wave field at time t_end from the Duhamel form (T = 0)
 
-        psi_hat(t,k) = e^{-i omega t} psi_hat(0,k)
-                       - i gamma int_0^t phi(t-s, k) p0^0(s) ds,
+        psi_hat(t,k) = e^{-i omega t} (psi_hat(0,k)
+                       - i gamma sum_m w_m e^{i omega s_m} p0(s_m)),
 
-    with the trapezoid in s on the kernel grid (same dt as the Volterra
-    march).  gamma = 0 is the pure phase rotation; t_end = 0 the identity.
+    with p0 from `p0_volterra` on the kernel grid s_m = m dt and trapezoid
+    weights w_m; the sum over m is the transpose block phase rotation.
+    gamma = 0 is the pure phase rotation; t_end = 0 the identity.
     """
-    if temperature > 0:
-        raise UnsupportedBranchError(
-            "the spectral route is deterministic; stochastic runs use run_direct"
-        )
     n_t = mk._require_on_grid(float(t_end))
-    N = psi0_hat.shape[-1]
-    om = omega_full_grid(mk.disp, N)
-    t = mk.t_grid[: n_t + 1]
-    out = np.exp(-1j * om * t[-1]) * psi0_hat
-    if mk.gamma == 0.0 or n_t == 0:
-        return out
-    p00 = p0_free(psi0_hat, mk.disp, t)
-    w = np.full(n_t + 1, mk.dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    weighted = (w * p00)[::-1]              # reversed so row @ gives conv at t_end
-    k_all = np.arange(N) / N
-    chunk = max(1, int(2e6 // (n_t + 1)))
-    for s in range(0, N, chunk):
-        rows = mk.phase_integral(k_all[s : s + chunk], n_t=n_t)   # Phi(tau, k)
-        phase = np.exp(-1j * np.multiply.outer(om[s : s + chunk], t))
-        out[s : s + chunk] -= 1j * mk.gamma * ((phase * rows) @ weighted)
-    return out
+    om = omega_full_grid(mk.disp, psi0_hat.shape[-1])
+    out = psi0_hat
+    if mk.gamma != 0.0 and n_t > 0:
+        _, p0 = p0_volterra(psi0_hat, mk, t_end)
+        w = np.full(n_t + 1, mk.dt)
+        w[[0, -1]] *= 0.5
+        out = psi0_hat - 1j * mk.gamma * _block_rotation(om, mk.dt, n_t, w * p0,
+                                                         transpose=True)
+    return np.exp(-1j * om * mk.t_grid[n_t]) * out
 
 
 def dump_snapshots(path, snapshots, dt: float, times, seed: int,

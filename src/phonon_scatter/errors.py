@@ -26,10 +26,6 @@ class HorizonError(DomainError):
     """
 
 
-class UnsupportedBranchError(ValueError):
-    """Operation invoked on a branch it does not implement (e.g. T > 0)."""
-
-
 class InvalidRunError(RuntimeError):
     """A finished run violated a validity guard; results must be discarded."""
 

@@ -42,7 +42,6 @@ from .kinetics import (CosineBumpSquaredProfile, LimitSolution, SeparableInitial
                        laplace_fourier_limit, laplace_fourier_numeric, limit_wigner,
                        transport_residual)
 from .lattice import DispersionRelation, kernel_from_spec
-from .memory import MemoryKernel
 from .packets import WavePacketSpec, gibbs_ensemble, init_rng, sample_initial
 from .scattering import build_table, nu_laplace_limit
 from .wigner import (production_profile, scattering_fractions, wavenumber_grid,
@@ -56,9 +55,10 @@ SEAM_BAND = 1 / 8
 # -- config keys ----------------------------------------------------------------
 # Every key an experiment reads, once, as name: (type, default).  A type is a
 # Python type (float also takes a JSON integer), a tuple of types, [t] for a
-# list of t, [t, t, ...] for a list of exactly that many t, or a dict of keys
-# for a block.  REQUIRED means no default.  A block left out takes its keys'
-# defaults; one whose default is WHOLE must, when given, name every key.
+# nonempty list of t, [t, t, ...] for a list of exactly that many t, or a dict
+# of keys for a block.  REQUIRED means no default.  A block left out takes its
+# keys' defaults; one whose default is WHOLE must, when given, name every key.
+# An int key named in COUNTS must be >= 1: at 0 the experiment measures nothing.
 
 REQUIRED = object()
 WHOLE = object()
@@ -75,8 +75,7 @@ _SCATTERING = {**_LATTICE,
                "window_halfwidth": (float, 0.1), "fraction_tolerance": (float, 0.05),
                "dump_state": (bool, False)}
 KEYS = {name: {**_COMMON, **keys} for name, keys in {
-    "coefficients": {"cross_oracle_stride": (int, 1),
-                     "memory": ({"dt": (float, 1e-3), "horizon": (float, 0.5)}, {})},
+    "coefficients": {"cross_oracle_stride": (int, 1)},
     "scattering": _SCATTERING,
     # a given sweep replaces N
     "convergence": {**_SCATTERING, "N": (int, None), "sweep_N": ([int], None),
@@ -91,6 +90,7 @@ KEYS = {name: {**_COMMON, **keys} for name, keys in {
         "check_wavenumbers": ([float], [0.25, 0.3]),
         "transform_spots": ([[float, float, float]], [[1.0, 2.0, 0.25]])},
 }.items()}
+COUNTS = {"cross_oracle_stride", "paths", "n_bins", "records"}
 
 
 def _walk(experiment: str, keys: dict, config: dict, prefix: str = "",
@@ -122,13 +122,15 @@ def _typed(experiment: str, name: str, kind, value, whole: bool = False):
             raise wrong("an object")
         return _walk(experiment, kind, value, name + ".", whole)
     if isinstance(kind, list):
-        if not isinstance(value, list) or len(kind) > 1 and len(value) != len(kind):
-            raise wrong("a list" if len(kind) == 1 else f"a list of {len(kind)}")
+        if not isinstance(value, list) or len(value) != len(kind) > 1 or not value:
+            raise wrong("a nonempty list" if len(kind) == 1 else f"a list of {len(kind)}")
         return [_typed(experiment, name, kind[0], v) for v in value]
     if isinstance(value, bool) != (kind is bool) or \
             not isinstance(value, (int, float) if kind is float else kind):
         names = kind if isinstance(kind, tuple) else (kind,)
         raise wrong(" or ".join(t.__name__ for t in names))
+    if name.rsplit(".", 1)[-1] in COUNTS and value < 1:
+        raise wrong("an int >= 1")
     return float(value) if kind is float else value
 
 
@@ -226,10 +228,9 @@ def run_coefficients(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -
     even_res = float(np.max(np.abs(table.nu - table.nu[::-1])))
     report.add(Check.leq("nu_evenness_max_residual", even_res, 1e-10))
     # PV vs resolvent boundary-value oracle
-    mk = MemoryKernel(disp, cfg["gamma"], **cfg["memory"])
     sel = np.arange(table.k_grid.size)[::cfg["cross_oracle_stride"]]
-    diffs = np.array([abs(nu_laplace_limit(mk, float(table.k_grid[i])) - table.nu[i])
-                      for i in sel])
+    diffs = np.array([abs(nu_laplace_limit(disp, cfg["gamma"], float(table.k_grid[i]))
+                          - table.nu[i]) for i in sel])
     report.add(Check.leq("nu_cross_oracle_max_diff", float(diffs.max()), 1e-3))
     table.export_csv(outdir / "coefficients.csv")
     (outdir / "coefficients.gp").write_text(
@@ -384,7 +385,6 @@ def run_production(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> 
              f"t_macro must be below {(0.5 - SEAM_BAND) / v_max:.3f}, where the front "
              f"at group velocity {v_max:.3f} reaches the seam band")
     M = cfg["ensemble"]["paths"]
-    _require(M >= 1, "ensemble.paths must be >= 1")
     table = _table(cfg, disp)
     params = ThermostatParams(cfg["gamma"], T)
     p, q, _ = run_thermal_ensemble(kernel, disp, params, N, cfg["dt"], n_steps,
@@ -411,6 +411,8 @@ def run_production(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> 
 def run_equilibrium(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> None:
     T = cfg["temperature"]
     _require(T > 0, "equilibrium requires temperature > 0")
+    _require(cfg["ensemble"]["paths"] >= 2, "equilibrium: config key 'ensemble.paths' "
+             "must be >= 2, since the per-bin standard error needs two paths")
     N = cfg["N"]
     n_steps = _n_steps(cfg, disp, N)
     stride = max(1, n_steps // cfg["records"])

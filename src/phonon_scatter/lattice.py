@@ -352,5 +352,11 @@ def kernel_from_spec(spec) -> CouplingKernel:
             decay = spec["decay_constant"]
         except KeyError as exc:
             raise ConfigError(f"kernel spec missing field {exc}") from exc
-        return CouplingKernel({int(y): float(a) for y, a in pairs}, float(decay))
+        try:
+            coefficients = {int(y): float(a) for y, a in pairs}
+            decay = float(decay)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("kernel spec needs 'coefficients' as [y, alpha] pairs "
+                              f"of numbers and a numeric 'decay_constant': {exc}") from exc
+        return CouplingKernel(coefficients, decay)
     raise ConfigError(f"cannot interpret kernel spec {spec!r}")

@@ -13,6 +13,13 @@ marched here with a product-trapezoidal rule (second order in dt); an
 independent convolution-series evaluator sum_n (-gamma)^n J^{*n}(t) is kept
 as a test oracle.  The atom + density split is exact: the Dirac mass is
 never discretized onto the time grid.
+
+J is sampled on a uniform grid m dt, m = 0..n, by block phase rotation
+(`_block_rotation`): with B ~ sqrt(n+1) and m = bB + r the phase
+e^{-i omega (bB + r) dt} factors into an outer and an inner table, so a
+phase sum over the whole grid is a product of two small matrices.  The
+dynamics module uses the same helper for the free momentum p0^0 and for
+the mild solution.
 """
 
 from __future__ import annotations
@@ -24,57 +31,60 @@ import numpy as np
 from .errors import ConfigError, DomainError, HorizonError, InvalidRunError
 from .lattice import DispersionRelation, panel_integrate
 
-_BASE_NODES = 2048
-_NODES_PER_TIME = 64
-# the kernel-grid sampler only needs a few nodes per k-oscillation for the
-# (spectrally accurate) periodic trapezoid rule; accuracy is pinned by tests
-_GRID_NODES_PER_TIME = 8
 # width of the resolvent panels next to the resonant wavenumber or a band
 # edge; the Lorentzian there has width ~eps/omega', far wider for eps >= 1e-4
 _RESOLVENT_PANEL_BASE = 1e-6
 
 
-def _j_quadrature_nodes(disp: DispersionRelation, t_max: float,
-                        per_time: int = _NODES_PER_TIME) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid nodes/weights on [0, 1/2]; count grows with t to hold phase
-    resolution constant (the integrand oscillates ~ t * omega_max)."""
-    n = max(_BASE_NODES, per_time * math.ceil(max(t_max, 0.0) * disp.omega_max))
-    k = np.linspace(0.0, 0.5, n + 1)
-    w = np.full(n + 1, 1.0 / n)  # spacing 0.5/n, doubled for the two half-bands
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return k, w
+def _uniform_grid(t) -> tuple[float, int]:
+    """(dt, n) of the grid t = 0, dt, ..., n dt, checked to round-off."""
+    t = np.asarray(t, dtype=float)
+    n = t.size - 1
+    dt = float(t[-1]) / n if t.ndim == 1 and n > 0 else 0.0
+    if t.ndim != 1 or t.size == 0 or not dt >= 0 or not np.all(
+            np.abs(t - dt * np.arange(n + 1)) <= 1e-12 * max(float(t[-1]), 1.0)):
+        raise DomainError("time must be a scalar t >= 0 or an ascending uniform "
+                          "grid 0, dt, ..., n dt")
+    return dt, n
 
 
-def j_eval(disp: DispersionRelation, t,
-           per_time: int = _NODES_PER_TIME) -> np.ndarray | float:
-    """Memory function J(t) = int_T cos(omega(k) t) dk, t >= 0.
+def _block_rotation(om, dt: float, n: int, c, transpose: bool = False) -> np.ndarray:
+    """Phase sums on the grid m dt, m = 0..n, by block phase rotation.
 
-    Trapezoid quadrature on the (smooth, periodic) integrand; node count
-    scales with t so the relative error stays below 1e-10 out to t ~ 1e3.
+    Forward: S_m = sum_k c_k e^{-i om_k m dt} for m = 0..n.  Transpose:
+    A_k = sum_m c_m e^{+i om_k m dt}.  With B ~ sqrt(n+1) and m = bB + r,
+    e^{-i om m dt} = outer[b, k] inner[k, r], so both sums are matrix
+    products of two tables of (n+1)/B and B phases per om_k, not n+1.
     """
-    tarr = np.asarray(t, dtype=float)
-    if np.any(tarr < 0):
-        raise DomainError("J(t) requires t >= 0")
-    scalar = tarr.ndim == 0
-    tarr = np.atleast_1d(tarr)
-    out = np.empty_like(tarr)
-    # process in ascending-t blocks sized so the (t, k) cosine table stays
-    # bounded while the node count tracks each block's own time range
-    order = np.argsort(tarr)
-    s = 0
-    while s < tarr.size:
-        t_here = float(tarr[order[s]])
-        n_nodes = max(_BASE_NODES,
-                      per_time * math.ceil(max(t_here, 1.0) * disp.omega_max))
-        block = max(64, int(2e7) // n_nodes)
-        idx = order[s : s + block]
-        ts = tarr[idx]
-        k, w = _j_quadrature_nodes(disp, float(ts[-1]), per_time)
-        om = disp.omega(k)
-        out[idx] = np.cos(np.multiply.outer(ts, om)) @ w
-        s += block
-    return float(out[0]) if scalar else out
+    om = np.asarray(om, dtype=float)
+    B = math.isqrt(n) + 1
+    nb = -(-(n + 1) // B)
+    outer = np.exp(-1j * np.multiply.outer(np.arange(nb) * (B * dt), om))
+    inner = np.exp(-1j * np.multiply.outer(om, np.arange(B) * dt))
+    if not transpose:
+        return ((outer * c) @ inner).reshape(-1)[: n + 1]
+    blocks = np.zeros(nb * B, dtype=complex)
+    blocks[: n + 1] = c
+    return np.sum(np.conj(outer) * (blocks.reshape(nb, B) @ np.conj(inner).T), axis=0)
+
+
+def j_eval(disp: DispersionRelation, t) -> np.ndarray | float:
+    """Memory function J(t) = int_T cos(omega(k) t) dk.
+
+    `t` is a scalar t >= 0 or an ascending uniform grid 0, dt, ..., n dt
+    (checked to round-off; anything else raises DomainError).  Trapezoid
+    quadrature on the smooth periodic integrand, with max(2048,
+    8 ceil(t_max omega_max)) nodes on [0, 1/2] so the phase resolution
+    holds out to the last time; the grid is summed by block phase rotation.
+    """
+    scalar = np.ndim(t) == 0
+    grid = np.array([0.0, t], dtype=float) if scalar else t
+    dt, n = _uniform_grid(grid)
+    n_k = max(2048, 8 * math.ceil(n * dt * disp.omega_max))
+    w = np.full(n_k + 1, 1.0 / n_k)  # spacing 0.5/n_k, doubled for the two half-bands
+    w[[0, -1]] *= 0.5
+    out = _block_rotation(disp.omega(np.linspace(0.0, 0.5, n_k + 1)), dt, n, w).real
+    return float(out[-1]) if scalar else out
 
 
 def j_laplace_batch(disp: DispersionRelation, eps, u: float,
@@ -143,7 +153,7 @@ class MemoryKernel:
         self.n_steps = int(round(horizon / dt))
         self.horizon = self.n_steps * self.dt
         self.t_grid = np.arange(self.n_steps + 1) * self.dt
-        self.j_samples = j_eval(disp, self.t_grid, per_time=_GRID_NODES_PER_TIME)
+        self.j_samples = j_eval(disp, self.t_grid)
         self.gstar_samples = self._march_volterra(self.j_samples, self.gamma, self.dt)
         if not (abs(self.j_samples[0] - 1.0) < 1e-12
                 and np.max(np.abs(self.j_samples)) <= 1.0 + 1e-9):

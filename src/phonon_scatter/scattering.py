@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, SingularZoneError, TableConstructionError
 from .lattice import DispersionRelation, panel_integrate
-from .memory import MemoryKernel, j_laplace_batch
+from .memory import j_laplace_batch
 
 _SUM_IDENTITY_TOL = 1e-8
 _RENU_IDENTITY_TOL = 1e-6
@@ -110,7 +110,7 @@ def nu_pv(disp: DispersionRelation, gamma: float, k: float) -> complex:
     return out
 
 
-def nu_laplace_limit(mk: MemoryKernel, k: float,
+def nu_laplace_limit(disp: DispersionRelation, gamma: float, k: float,
                      eps_list=(1e-2, 1e-3, 1e-4)) -> complex:
     """Interface response as the extrapolated resolvent boundary value.
 
@@ -122,12 +122,12 @@ def nu_laplace_limit(mk: MemoryKernel, k: float,
     eps = np.asarray(eps_list, dtype=float)
     if eps.ndim != 1 or eps.size < 1 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise ConfigError("eps_list must be a decreasing list of positive reals")
-    if mk.gamma == 0.0:
+    if gamma == 0.0:
         return 1.0 + 0.0j
     l0 = _resonant_wavenumber(float(k))
-    om = float(mk.disp.omega(l0))
-    jt = j_laplace_batch(mk.disp, eps, om, pole=l0)
-    vals = 1.0 / (1.0 + mk.gamma * jt)
+    om = float(disp.omega(l0))
+    jt = j_laplace_batch(disp, eps, om, pole=l0)
+    vals = 1.0 / (1.0 + gamma * jt)
     # Neville tableau at eps = 0
     tab = vals.astype(complex)
     x = eps.copy()

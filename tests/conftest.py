@@ -4,7 +4,6 @@ Session-scoped because construction (Volterra marches, PV tables) is the
 expensive part; every object is immutable after construction.
 """
 
-import numpy as np
 import pytest
 
 from phonon_scatter import (DispersionRelation, MemoryKernel, build_table,
@@ -37,12 +36,3 @@ def mk_long_march(disp_unpinned):
 @pytest.fixture(scope="session")
 def table_unpinned_g1(disp_unpinned):
     return build_table(disp_unpinned, 1.0, n_k=512, delta_excl=0.02)
-
-
-# frozen closed forms for the unpinned nearest-neighbour chain at gamma=1,
-# k=1/4: the two half-band integrals behind the interface response cancel
-# by the reflection symmetry of sin about k=1/4, so 1/nu = 1 + 1/(2cos(pi/4))
-NU_QUARTER = 2.0 - np.sqrt(2.0)
-P_PLUS_QUARTER = 6.0 - 4.0 * np.sqrt(2.0)
-P_MINUS_QUARTER = 3.0 - 2.0 * np.sqrt(2.0)
-ABSORB_QUARTER = 6.0 * np.sqrt(2.0) - 8.0

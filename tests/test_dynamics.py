@@ -4,7 +4,7 @@ from scipy.stats import kstest
 
 from phonon_scatter import (ChainState, ConfigError, CouplingKernel,
                             DispersionRelation, EnsembleNoise, HorizonError,
-                            MemoryKernel, ThermostatParams, UnsupportedBranchError,
+                            MemoryKernel, ThermostatParams,
                             energy_balance_residual, nn_unpinned, p0_volterra,
                             psi_spectral_mild, run_direct, site_coordinates,
                             state_from_wave_field, wave_field, wave_field_hat)
@@ -182,8 +182,6 @@ def test_p0_volterra_trivial_cases(disp_unpinned, mk_unpinned_g1):
     from phonon_scatter import p0_free
     t, p0 = p0_volterra(psi0, mk0, 2.0)
     np.testing.assert_allclose(p0, p0_free(psi0, disp_unpinned, t), atol=1e-14)
-    with pytest.raises(UnsupportedBranchError):
-        p0_volterra(psi0, mk_unpinned_g1, 1.0, temperature=0.5)
     with pytest.raises(HorizonError):
         p0_volterra(psi0, mk_unpinned_g1, 100.0)
 
@@ -213,8 +211,26 @@ def test_mild_route_trivial_cases(disp_unpinned, mk_unpinned_g1):
     np.testing.assert_allclose(out, np.exp(-1.5j * om) * psi0_hat, atol=1e-12)
     out0 = psi_spectral_mild(psi0_hat, mk_unpinned_g1, 0.0)
     np.testing.assert_allclose(out0, psi0_hat, atol=1e-14)
-    with pytest.raises(UnsupportedBranchError):
-        psi_spectral_mild(psi0_hat, mk_unpinned_g1, 1.0, temperature=1.0)
+
+
+def test_mild_route_matches_phase_integral_oracle(disp_unpinned):
+    # the convolution-kernel form e^{-i omega t} psi_hat_0
+    # - i gamma int phi(t-s, k) p0^0(s) ds, with phi from Phi(tau, k)
+    from phonon_scatter import p0_free
+    N, t_end, dt = 128, 5.0, 1e-3
+    mk = MemoryKernel(disp_unpinned, 1.0, dt=dt, horizon=t_end)
+    psi0_hat = np.fft.fft(_packet_field(N, -0.05, 0.25, 0.1))
+    om = np.asarray(disp_unpinned.omega(np.arange(N) / N))
+    t = mk.t_grid
+    w = np.full(t.size, dt)
+    w[[0, -1]] *= 0.5
+    tau = t_end - t                                     # phi(t_end - s, k)
+    phi = np.exp(-1j * np.multiply.outer(om, tau)) * \
+        mk.phase_integral(np.arange(N) / N)[:, ::-1]
+    oracle = np.exp(-1j * om * t_end) * psi0_hat \
+        - 1j * mk.gamma * phi @ (w * p0_free(psi0_hat, disp_unpinned, t))
+    mild = psi_spectral_mild(psi0_hat, mk, t_end)
+    assert np.linalg.norm(mild - oracle) / np.linalg.norm(oracle) <= 1e-5
 
 
 def test_cross_solver_field_contracts(disp_unpinned):

@@ -230,6 +230,25 @@ PRODUCTION = {"temperature": 1.0, "N": 128, "dt": 0.05, "t_macro": 0.25,
     ("production", {**PRODUCTION, "k_band": [0.2]}, ["production", "'k_band'"]),
     # the production front would reach the seam band
     ("production", {**PRODUCTION, "t_macro": 0.4}, ["t_macro"]),
+    # values that leave the experiment measuring nothing
+    ("production", {**PRODUCTION, "n_bins": 0}, ["production", "'n_bins'"]),
+    ("equilibrium", {**PRODUCTION, "n_bins": 0}, ["equilibrium", "'n_bins'"]),
+    ("coefficients", {"table": BASE_TABLE, "cross_oracle_stride": 0},
+     ["coefficients", "'cross_oracle_stride'"]),
+    ("equilibrium", {**PRODUCTION, "records": 0}, ["equilibrium", "'records'"]),
+    ("equilibrium", {**PRODUCTION, "ensemble": {"paths": 0}},
+     ["equilibrium", "'ensemble.paths'"]),
+    ("equilibrium", {**PRODUCTION, "ensemble": {"paths": 1}},
+     ["equilibrium", "'ensemble.paths'"]),
+    ("convergence", {**SCATTER_NO_PACKET, "packet": PACKET, "sweep_N": []},
+     ["convergence", "'sweep_N'"]),
+    ("transport_check", {"table": BASE_TABLE, "check_wavenumbers": []},
+     ["transport_check", "'check_wavenumbers'"]),
+    ("transport_check", {"table": BASE_TABLE, "transform_spots": []},
+     ["transport_check", "'transform_spots'"]),
+    # an explicit kernel whose coefficients are not numbers
+    ("coefficients", {"kernel": {"coefficients": [["a", 1]], "decay_constant": 3},
+                      "table": BASE_TABLE}, ["kernel spec", "'coefficients'"]),
 ])
 def test_cli_rejects_config_with_exit_2(tmp_path, capsys, command, cfg, named):
     path = _write_cfg(tmp_path, "cfg.json", cfg)

@@ -7,7 +7,7 @@ from phonon_scatter import (CosineBumpSquaredProfile, DomainError, LimitSolution
                             boundary_residual, equilibrium_initial_data,
                             laplace_fourier_limit, laplace_fourier_numeric,
                             limit_wigner, transport_residual)
-from conftest import ABSORB_QUARTER
+from closed_forms import ABSORB_QUARTER
 
 
 @pytest.fixture(scope="module")

@@ -16,6 +16,17 @@ def test_j_at_zero_and_bessel_oracle(disp_unpinned):
         j_eval(disp_unpinned, -0.5)
 
 
+def test_j_eval_takes_only_a_uniform_grid_from_zero(disp_unpinned):
+    # block phase rotation evaluates J on m dt, m = 0..n, and nothing else
+    t = np.linspace(0.0, 10.0, 101)
+    with pytest.raises(DomainError):
+        j_eval(disp_unpinned, np.concatenate([t[:50], t[51:]]))  # not uniform
+    with pytest.raises(DomainError):
+        j_eval(disp_unpinned, t + 0.1)                          # not from 0
+    with pytest.raises(DomainError):
+        j_eval(disp_unpinned, t[::-1])                          # descending
+
+
 def test_j_bounded_pinned(disp_pinned):
     t = np.linspace(0.0, 200.0, 1001)
     assert np.max(np.abs(j_eval(disp_pinned, t))) <= 1.0 + 1e-12
@@ -137,6 +148,5 @@ def test_phase_integral_settles(mk_long_march):
 
 def test_j_nodes_scale_with_time(disp_unpinned):
     # phase resolution is held roughly constant, so long times stay accurate
-    t = np.array([800.0])
-    val = j_eval(disp_unpinned, t)[0]
+    val = j_eval(disp_unpinned, 800.0)
     assert abs(val - j0(1600.0)) < 1e-10

@@ -1,26 +1,25 @@
 import numpy as np
 import pytest
 
-from phonon_scatter import (ConfigError, MemoryKernel, SingularZoneError,
+from phonon_scatter import (ConfigError, SingularZoneError,
                             TableConstructionError, build_table, coefficients,
                             nu_laplace_limit, nu_pv)
 from phonon_scatter import scattering
-from conftest import ABSORB_QUARTER, NU_QUARTER, P_MINUS_QUARTER, P_PLUS_QUARTER
+from closed_forms import ABSORB_QUARTER, NU_QUARTER, P_MINUS_QUARTER, P_PLUS_QUARTER
 
 
-def test_nu_gamma_zero(disp_unpinned, mk_unpinned_g1):
+def test_nu_gamma_zero(disp_unpinned):
     assert nu_pv(disp_unpinned, 0.0, 0.31) == 1.0
-    mk0 = MemoryKernel(disp_unpinned, 0.0, dt=1e-2, horizon=1.0)
-    assert nu_laplace_limit(mk0, 0.31) == 1.0
+    assert nu_laplace_limit(disp_unpinned, 0.0, 0.31) == 1.0
     c = coefficients(disp_unpinned, 0.0, 0.31, 1.0)
     assert (c.wp, c.absorb, c.p_plus, c.p_minus) == (0.0, 0.0, 1.0, 0.0)
 
 
-def test_nu_closed_form_quarter(disp_unpinned, mk_unpinned_g1):
+def test_nu_closed_form_quarter(disp_unpinned):
     nu = nu_pv(disp_unpinned, 1.0, 0.25)
     assert nu == pytest.approx(NU_QUARTER, abs=1e-9)
     assert abs(nu.imag) < 1e-9
-    nu_o = nu_laplace_limit(mk_unpinned_g1, 0.25)
+    nu_o = nu_laplace_limit(disp_unpinned, 1.0, 0.25)
     assert nu_o == pytest.approx(NU_QUARTER, abs=1e-6)
     c = coefficients(disp_unpinned, 1.0, 0.25, nu)
     assert c.p_plus == pytest.approx(P_PLUS_QUARTER, abs=1e-9)
@@ -63,18 +62,18 @@ def test_large_friction_coefficients(disp_unpinned):
     assert abs(p_minuses[2] - p_minuses[1]) < 5e-3
 
 
-def test_evenness_both_routes(disp_unpinned, mk_unpinned_g1):
+def test_evenness_both_routes(disp_unpinned):
     for k in (0.11, 0.27, 0.42):
         assert abs(nu_pv(disp_unpinned, 1.0, k) - nu_pv(disp_unpinned, 1.0, -k)) < 1e-10
-        assert abs(nu_laplace_limit(mk_unpinned_g1, k)
-                   - nu_laplace_limit(mk_unpinned_g1, -k)) < 1e-10
+        assert abs(nu_laplace_limit(disp_unpinned, 1.0, k)
+                   - nu_laplace_limit(disp_unpinned, 1.0, -k)) < 1e-10
 
 
-def test_eps_list_validation(mk_unpinned_g1):
+def test_eps_list_validation(disp_unpinned):
     with pytest.raises(ConfigError):
-        nu_laplace_limit(mk_unpinned_g1, 0.25, eps_list=(1e-3, 1e-2))
+        nu_laplace_limit(disp_unpinned, 1.0, 0.25, eps_list=(1e-3, 1e-2))
     with pytest.raises(ConfigError):
-        nu_laplace_limit(mk_unpinned_g1, 0.25, eps_list=(1e-2, -1e-3))
+        nu_laplace_limit(disp_unpinned, 1.0, 0.25, eps_list=(1e-2, -1e-3))
 
 
 def test_table_identities_and_bounds(table_unpinned_g1):
@@ -117,10 +116,10 @@ def test_table_parameter_errors(disp_unpinned):
         build_table(disp_unpinned, 1.0, n_k=128, delta_excl=0.3)
 
 
-def test_cross_oracle_subsample(table_unpinned_g1, mk_unpinned_g1):
+def test_cross_oracle_subsample(table_unpinned_g1, disp_unpinned):
     tab = table_unpinned_g1
     sel = np.arange(tab.k_grid.size)[::24]
-    diffs = [abs(nu_laplace_limit(mk_unpinned_g1, float(tab.k_grid[i])) - tab.nu[i])
+    diffs = [abs(nu_laplace_limit(disp_unpinned, 1.0, float(tab.k_grid[i])) - tab.nu[i])
              for i in sel]
     assert max(diffs) < 1e-3
 
@@ -129,7 +128,7 @@ def test_time_domain_route_agrees(mk_long_march):
     # the truncated time integral of the phase-twisted memory measure at
     # t = 1000 lands on the extrapolated resolvent boundary value
     phi_inf = complex(mk_long_march.phase_integral(np.array([0.25]))[0][-1])
-    nu = nu_laplace_limit(mk_long_march, 0.25)
+    nu = nu_laplace_limit(mk_long_march.disp, mk_long_march.gamma, 0.25)
     assert abs(phi_inf - nu) < 1e-2
 
 
