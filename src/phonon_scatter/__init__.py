@@ -17,8 +17,7 @@ from .errors import (ConfigError, DomainError, HorizonError, InvalidRunError,
                      SingularZoneError, TableConstructionError)
 from .lattice import (CouplingKernel, DispersionRelation, hat_alpha,
                       kernel_from_spec, nn_pinned, nn_unpinned)
-from .memory import (MemoryKernel, g_star_series, g_star_series_curve, j_eval,
-                     j_laplace)
+from .memory import MemoryKernel, g_star_series_curve, j_eval, j_laplace
 from .scattering import (Coefficients, ScatteringTable, build_table, coefficients,
                          nu_laplace_limit, nu_pv)
 from .dynamics import (ChainState, EnsembleNoise, ThermostatParams, Trajectory,

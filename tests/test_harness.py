@@ -270,12 +270,25 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def _package_nodes():
+    package = Path(phonon_scatter.__file__).parent
+    return [(path.name, node) for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))]
+
+
 def test_package_has_no_bare_assert():
     # python -O strips asserts, so every guard in the package is a typed error
-    package = Path(phonon_scatter.__file__).parent
-    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_convolves_only_through_the_fft_primitive():
+    # np.convolve / np.correlate are O(n^2); memory._fft_convolve is the one
+    # convolution in the package
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("convolve", "correlate")]
     assert found == []
 
 

@@ -3,8 +3,8 @@ import pytest
 from scipy.special import j0
 
 from phonon_scatter import (DomainError, HorizonError, MemoryKernel,
-                            g_star_series, g_star_series_curve, j_eval, j_laplace)
-from phonon_scatter.memory import j_laplace_batch
+                            g_star_series_curve, j_eval, j_laplace)
+from phonon_scatter.memory import _fft_convolve, _trapezoid_convolve, j_laplace_batch
 from phonon_scatter.scattering import table_grid
 
 
@@ -80,11 +80,60 @@ def test_series_matches_march(disp_unpinned, mk_unpinned_g1):
     t, series, bound = g_star_series_curve(disp_unpinned, 1.0, 5.0, 1e-3, 30)
     assert np.max(np.abs(series - mk_unpinned_g1.gstar_samples)) < 1e-6
     assert bound[-1] < 1e-9
-    val, trunc = g_star_series(disp_unpinned, 1.0, 1.0, 30, dt=1e-3)
-    march_val = mk_unpinned_g1.g_star(1.0)
-    assert abs(val - march_val) < 1e-8
-    assert g_star_series(disp_unpinned, 1.0, 0.0, 10) == (-1.0, 0.0)
-    assert g_star_series(disp_unpinned, 0.0, 2.0, 10)[0] == pytest.approx(0.0, abs=1e-15)
+    _, vals, _ = g_star_series_curve(disp_unpinned, 1.0, 1.0, 1e-3, 30)
+    assert abs(vals[-1] - mk_unpinned_g1.g_star(1.0)) < 1e-8
+    _, vals, bound = g_star_series_curve(disp_unpinned, 1.0, 0.0, 1e-3, 10)
+    assert (vals[-1], bound[-1]) == (-1.0, 0.0)
+    _, vals, _ = g_star_series_curve(disp_unpinned, 0.0, 2.0, 1e-3, 10)
+    assert vals[-1] == pytest.approx(0.0, abs=1e-15)
+
+
+def _march_step_loop(j, gamma, dt):
+    """The O(n^2) product-trapezoid march, one dot product per step: the
+    reference the divide-and-conquer march must reproduce."""
+    g = np.zeros(j.size)
+    g[0] = -gamma
+    diag = 1.0 + 0.5 * gamma * dt * j[0]
+    for m in range(1, j.size):
+        conv = 0.5 * j[m] * g[0] + np.dot(j[m - 1 : 0 : -1], g[1:m])
+        g[m] = (-gamma * j[m] - gamma * dt * conv) / diag
+    return g
+
+
+@pytest.mark.parametrize("disp_name", ["disp_unpinned", "disp_pinned"])
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 3.0])
+def test_march_matches_step_loop(disp_name, gamma, request):
+    # step counts on both sides of the 256-step leaf and of the first splits
+    disp = request.getfixturevalue(disp_name)
+    for n in (1, 2, 255, 256, 257, 1000, 4097):
+        mk = MemoryKernel(disp, gamma, dt=1e-2, horizon=n * 1e-2)
+        assert mk.n_steps == n
+        ref = _march_step_loop(mk.j_samples, gamma, mk.dt)
+        assert np.max(np.abs(mk.gstar_samples - ref)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 257, 4097])
+def test_trapezoid_convolve_matches_direct_convolution(n):
+    rng = np.random.default_rng(n)
+    f, g = rng.standard_normal(n), rng.standard_normal(n)
+    ref = np.convolve(f, g)[:n] - 0.5 * (f[0] * g + g[0] * f)
+    ref[0] = 0.0
+    ref *= 0.01
+    got = _trapezoid_convolve(f, g, 0.01)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_fft_convolve_truncates_to_the_first_terms():
+    # the march asks for the first hi - a terms of g[a:mid] * J[:hi - a],
+    # fewer than the full convolution holds
+    rng = np.random.default_rng(7)
+    for len_a, len_b, n in ((128, 256, 256), (1, 5, 3), (300, 600, 1), (7, 7, 13)):
+        a, b = rng.standard_normal(len_a), rng.standard_normal(len_b)
+        ref = np.convolve(a, b)[:n]
+        got = _fft_convolve(a, b, n)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_march_second_order_against_fine_series(disp_unpinned):
