@@ -4,7 +4,7 @@ Layers, from the lattice up:
 
 * lattice     coupling kernels, dispersion relation, inverse branch and the
               graded Gauss-Legendre panel quadrature
-* memory      thermostat memory function J, resolvent density, phi kernel
+* memory      thermostat memory function J, resolvent density, phase integral
 * scattering  interface response nu(k), transmission/reflection/absorption
 * dynamics    splitting integrator and the spectral mild solution
 * packets     wave-packet and Gibbs initial measures

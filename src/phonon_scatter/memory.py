@@ -215,13 +215,18 @@ class MemoryKernel:
         return 1.0 / (1.0 + self.gamma * self.j_laplace(lam))
 
     def _require_on_grid(self, t: float) -> int:
+        """Index n of the grid time n dt equal to t to round-off (the rule
+        of `_uniform_grid`); a time between grid points raises."""
         if t < 0:
             raise DomainError("time must be >= 0")
         if t > self.horizon + 1e-12:
             raise HorizonError(
                 f"t={t} beyond horizon {self.horizon}; rebuild the kernel with a larger horizon"
             )
-        return min(int(round(t / self.dt)), self.n_steps)
+        n = min(int(round(t / self.dt)), self.n_steps)
+        if abs(t - self.t_grid[n]) > 1e-12 * max(t, 1.0):
+            raise DomainError(f"t={t} is not on the kernel's time grid of step {self.dt}")
+        return n
 
     def g_star(self, t) -> np.ndarray | float:
         """Linear interpolation of the marched density."""
@@ -239,41 +244,24 @@ class MemoryKernel:
         return float(np.max(np.abs(self.gstar_samples + self.gamma * conv
                                    + self.gamma * self.j_samples)))
 
-    def phase_integral(self, k, n_t: int | None = None) -> np.ndarray:
+    def phase_integral(self, k) -> np.ndarray:
         """Phi(t, k) = 1 + int_0^t e^{i omega(k) tau} g_*(tau) dtau on the grid.
 
-        Returned as an array of shape (len(k_arr), n_t+1); Phi(t, k) -> nu(k)
-        as t grows.  Cumulative trapezoid of the sampled density plus the
-        unit atom at tau = 0.
+        Returned as an array of shape (len(k_arr), n_steps+1); Phi(t, k) ->
+        nu(k) as t grows.  Cumulative trapezoid of the sampled density plus
+        the unit atom at tau = 0.
         """
         karr = np.atleast_1d(np.asarray(k, dtype=float))
-        n_t = self.n_steps if n_t is None else min(n_t, self.n_steps)
-        t = self.t_grid[: n_t + 1]
-        out = np.empty((karr.size, n_t + 1), dtype=complex)
-        chunk = max(1, int(4e6 // (n_t + 1)))
+        out = np.empty((karr.size, self.t_grid.size), dtype=complex)
+        chunk = max(1, int(4e6 // self.t_grid.size))
         for s in range(0, karr.size, chunk):
             om = np.asarray(self.disp.omega(karr[s : s + chunk]))
-            f = np.exp(1j * np.multiply.outer(om, t)) * self.gstar_samples[: n_t + 1]
+            f = np.exp(1j * np.multiply.outer(om, self.t_grid)) * self.gstar_samples
             c = np.empty_like(f)
             c[:, 0] = 0.0
             np.cumsum(0.5 * (f[:, 1:] + f[:, :-1]) * self.dt, axis=1, out=c[:, 1:])
             out[s : s + chunk] = 1.0 + c
         return out
-
-    def phi(self, t: float, k) -> np.ndarray | complex:
-        """Convolution kernel phi(t,k) = e^{-i omega(k) t} Phi(t, k).
-
-        phi(0, k) = 1 (only the unit atom contributes); for gamma = 0 it is
-        the pure phase e^{-i omega(k) t}.  t must lie within the horizon.
-        """
-        idx = self._require_on_grid(float(t))
-        karr = np.asarray(k, dtype=float)
-        scalar = karr.ndim == 0
-        karr = np.atleast_1d(karr)
-        phase_rows = self.phase_integral(karr, n_t=idx)[:, -1]
-        om = np.asarray(self.disp.omega(karr))
-        out = np.exp(-1j * om * float(t)) * phase_rows
-        return complex(out[0]) if scalar else out
 
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

@@ -12,10 +12,14 @@ where l0 = |k| in (0, 1/2) is the pole, the positive-branch wavenumber of
 u (known from k, so omega is never inverted).  The principal value is taken
 in the wavenumber variable, so the only singularities are the two simple
 poles +-l0; square-root band-edge weights never appear.  On a symmetric
-window around the pole the integrand is folded into cancelled pairs
+window |l - l0| < h the integrand is folded into cancelled pairs
 f(l0+s) + f(l0-s), which extend continuously with value
-omega''(l0)/omega'(l0)^2 at s = 0.  Every integral is the Gauss-Legendre
-panel quadrature of the lattice module.
+omega''(l0)/omega'(l0)^2 at s = 0.  Outside it each side is integrated in
+the log distance from the pole, d = |l - l0| = h R^y with y in (0, 1) and
+R = l0/h on the left, (1/2 - l0)/h on the right; dl = d ln R dy turns the
+1/d growth into a smooth integrand on fixed panels in y.  Every integral is
+the Gauss-Legendre panel quadrature of the lattice module, on nodes that
+depend on the wavenumber alone, so arrays give scalar calls' values bitwise.
 
 The oracle route evaluates the resolvent g_tilde(eps - i omega(k)) at a
 decreasing list of eps > 0, all eps in one panel quadrature graded toward
@@ -46,68 +50,78 @@ _RENU_IDENTITY_TOL = 1e-6
 _GRID_SYMMETRY_TOL = 1e-14
 # the PV window spans 4 cells of a 0.5/_PV_NODES grid around the pole
 _PV_NODES = 2048
+# uniform Gauss-Legendre panels on the PV window and on each outer integral
+_PV_PANELS = 8
+# wavenumbers nu_pv evaluates together; bounds its temporaries
+_PV_BLOCK = 32
 # |omega'| below which nu_pv refuses a wavenumber as inside the singular zone
 _VELOCITY_FLOOR = 1e-3
 
 
-def _resonant_wavenumber(k: float) -> float:
+def _resonant_wavenumber(k):
     """|k| with k wrapped to the torus: the l0 in [0, 1/2] with omega(l0) =
     omega(k), by evenness and periodicity."""
-    return abs(k - round(k))
+    return np.abs(k - np.round(k))
 
 
-def _smooth_half_integral(disp: DispersionRelation, u: float) -> float:
-    """G(u) = int_0^{1/2} dl / (u + omega(l)); peaked near l=0 when the band
-    touches zero, hence the graded left edge."""
-    f = lambda l: 1.0 / (u + disp.omega(l))
-    return float(panel_integrate(f, 0.0, 0.5, hot_a=True, hot_b=True, base=2e-4))
+def _refuse(k: np.ndarray, bad: np.ndarray, error: type, what: str) -> None:
+    """Raise `error` naming the first wavenumber flagged in `bad`."""
+    if np.any(bad):
+        raise error(f"{what} at k={k[np.argmax(bad)]}")
 
 
-def _pv_half_integral(disp: DispersionRelation, u: float, l0: float) -> float:
-    """PV int_0^{1/2} dl/(u - omega(l)) with the window scheme, for the pole
-    l0 in (0, 1/2) with omega(l0) = u."""
-    cell = 0.5 / _PV_NODES
-    h = min(4.0 * cell, 0.45 * l0, 0.45 * (0.5 - l0))
-    if h < 16 * np.finfo(float).eps:
-        raise SingularZoneError(
-            f"PV window cannot fit inside (0, 1/2) for u={u} (pole at l0={l0})"
-        )
+def _pv_half_integral(disp: DispersionRelation, u: np.ndarray, l0: np.ndarray,
+                      h: np.ndarray) -> np.ndarray:
+    """PV int_0^{1/2} dl/(u - omega(l)) for each pole l0 in (0, 1/2) with
+    omega(l0) = u, by the window scheme with window half-width h."""
+    u, l0, h = u[:, None], l0[:, None], h[:, None]
     f = lambda l: 1.0 / (u - disp.omega(l))
-    # symmetric window: fold into pairs whose 1/s parts cancel analytically
-    pair = lambda s: f(l0 + s) + f(l0 - s)
-    window = float(panel_integrate(pair, 0.0, h, base=h / 8))
-    outer = float(
-        panel_integrate(f, 0.0, l0 - h, hot_a=True, hot_b=True, base=min(2e-4, h / 4))
-        + panel_integrate(f, l0 + h, 0.5, hot_a=True, hot_b=True, base=min(2e-4, h / 4))
-    )
-    return window + outer
+    # symmetric window, in x = s/h: fold into pairs whose 1/s parts cancel
+    pair = lambda x: f(l0 + h * x) + f(l0 - h * x)
+    window = h[:, 0] * panel_integrate(pair, 0.0, 1.0, base=1.0 / _PV_PANELS)
+    # outside it, d = |l - l0| = h R^y for y in (0, 1) on either side, so the
+    # 1/d growth toward the pole becomes the smooth d f(l) ln R
+    log_l, log_r = np.log(l0 / h), np.log((0.5 - l0) / h)
+
+    def outer(y):
+        d_l, d_r = h * np.exp(log_l * y), h * np.exp(log_r * y)
+        return f(l0 - d_l) * d_l * log_l + f(l0 + d_r) * d_r * log_r
+
+    return window + panel_integrate(outer, 0.0, 1.0, base=1.0 / _PV_PANELS)
 
 
-def nu_pv(disp: DispersionRelation, gamma: float, k: float) -> complex:
-    """Interface response by the principal-value route.
+def nu_pv(disp: DispersionRelation, gamma: float, k):
+    """Interface response by the principal-value route, at a wavenumber (a
+    complex comes back) or element-wise over a 1-d array of them.
 
     Requires omega'(k) != 0; near the zero-velocity set the -i pi/|omega'|
     part blows up and |nu| -> 0, so callers work on a grid with an exclusion
     zone.  The pole of the PV integrand is l0 = |k| (k wrapped to the
     torus), so no inverse of omega is needed.  gamma = 0 returns 1 exactly.
+    Each wavenumber's quadrature nodes depend on it alone, so an array gives
+    bitwise the values of scalar calls.
     """
-    k = float(k)
-    if gamma == 0.0:
-        return 1.0 + 0.0j
-    l0 = _resonant_wavenumber(k)
-    dp = disp.omega_prime(l0)
-    if abs(dp) < _VELOCITY_FLOOR:
-        raise SingularZoneError(f"omega'(k) ~ 0 at k={k}; inside the singular zone")
-    u = float(disp.omega(l0))
-    if not (disp.omega_min < u < disp.omega_max):
-        raise SingularZoneError(f"omega(k)={u} sits at a band edge")
-    G = _smooth_half_integral(disp, u)
-    H_re = _pv_half_integral(disp, u, l0)
-    denom = 1.0 + 1j * gamma * (G + H_re) + np.pi * gamma / abs(dp)
-    out = 1.0 / denom
-    if not (np.isfinite(out.real) and np.isfinite(out.imag)):
-        raise DomainError(f"nu_pv is not finite at k={k} (G={G}, H={H_re})")
-    return out
+    karr = np.asarray(k, dtype=float)
+    ks = np.atleast_1d(karr)
+    out = np.ones(ks.size, dtype=complex)
+    if gamma != 0.0:
+        l0 = _resonant_wavenumber(ks)
+        dp, u = np.abs(disp.omega_prime(l0)), disp.omega(l0)
+        h = np.minimum(np.minimum(4.0 * 0.5 / _PV_NODES, 0.45 * l0), 0.45 * (0.5 - l0))
+        _refuse(ks, dp < _VELOCITY_FLOOR, SingularZoneError, "omega'(k) ~ 0 (singular zone)")
+        _refuse(ks, ~((disp.omega_min < u) & (u < disp.omega_max)), SingularZoneError,
+                "omega(k) sits at a band edge")
+        _refuse(ks, h < 16 * np.finfo(float).eps, SingularZoneError,
+                "the PV window cannot fit inside (0, 1/2)")
+        for s in range(0, ks.size, _PV_BLOCK):
+            b = slice(s, s + _PV_BLOCK)
+            # G(u): peaked near l = 0 when the band touches zero, hence graded
+            G = panel_integrate(lambda l: 1.0 / (u[b, None] + disp.omega(l)), 0.0, 0.5,
+                                hot_a=True, hot_b=True, base=2e-4)
+            H_re = _pv_half_integral(disp, u[b], l0[b], h[b])
+            out[b] = 1.0 / (1.0 + 1j * gamma * (G + H_re) + np.pi * gamma / dp[b])
+        _refuse(ks, ~np.isfinite(out), DomainError, "nu_pv is not finite")
+    return complex(out[0]) if karr.ndim == 0 else out
 
 
 def nu_laplace_limit(disp: DispersionRelation, gamma: float, k: float,
@@ -138,27 +152,34 @@ def nu_laplace_limit(disp: DispersionRelation, gamma: float, k: float,
 
 @dataclass(frozen=True)
 class Coefficients:
-    wp: complex
-    absorb: float
-    p_plus: float
-    p_minus: float
+    wp: complex | np.ndarray
+    absorb: float | np.ndarray
+    p_plus: float | np.ndarray
+    p_minus: float | np.ndarray
 
 
-def coefficients(disp: DispersionRelation, gamma: float, k: float,
-                 nu: complex) -> Coefficients:
-    """Production/transmission/reflection factors at wavenumber k.
+def coefficients(disp: DispersionRelation, gamma: float, k, nu) -> Coefficients:
+    """Production/transmission/reflection factors at a wavenumber k, or
+    element-wise over a 1-d array of them (then nu is the matching array).
+    A scalar goes through the same array code as an array.
 
     gamma = 0 gives full transmission (0, 0, 1, 0).  Raises inside the
     singular zone where the group velocity vanishes.
     """
+    karr = np.asarray(k, dtype=float)
+    ks, nus = np.atleast_1d(karr), np.atleast_1d(np.asarray(nu, dtype=complex))
     if gamma == 0.0:
-        return Coefficients(0.0 + 0.0j, 0.0, 1.0, 0.0)
-    v = disp.group_velocity(k)
-    if v == 0.0:
-        raise SingularZoneError(f"group velocity vanishes at k={k}")
-    wp = gamma * nu / (2.0 * abs(v))
-    absorb = gamma * abs(nu) ** 2 / abs(v)
-    return Coefficients(wp, float(absorb), float(abs(1.0 - wp) ** 2), float(abs(wp) ** 2))
+        wp, absorb = np.zeros(ks.size, dtype=complex), np.zeros(ks.size)
+    else:
+        v = np.abs(disp.group_velocity(ks))
+        _refuse(ks, v == 0.0, SingularZoneError, "group velocity vanishes")
+        wp = gamma * nus / (2.0 * v)
+        absorb = gamma * np.abs(nus) ** 2 / v
+    p_plus, p_minus = np.abs(1.0 - wp) ** 2, np.abs(wp) ** 2
+    if karr.ndim == 0:
+        return Coefficients(complex(wp[0]), float(absorb[0]), float(p_plus[0]),
+                            float(p_minus[0]))
+    return Coefficients(wp, absorb, p_plus, p_minus)
 
 
 @dataclass(frozen=True)
@@ -174,14 +195,12 @@ class ScatteringTable:
     delta_excl: float
     k_grid: np.ndarray
     nu: np.ndarray
-    wp: np.ndarray
     absorb: np.ndarray
     p_plus: np.ndarray
     p_minus: np.ndarray
     identity_residual: np.ndarray
     max_sum_residual: float
     max_renu_residual: float
-    omega_prime: np.ndarray
 
     def export_csv(self, path) -> None:
         path = Path(path)
@@ -248,23 +267,16 @@ def build_table(disp: DispersionRelation, gamma: float, n_k: int = 512,
         raise TableConstructionError(
             "k-grid is not symmetric under k -> -k; the mirrored table would be wrong"
         )
-    nu = np.empty(k_pos.size, dtype=complex)
-    wp = np.empty(k_pos.size, dtype=complex)
-    absorb = np.empty(k_pos.size)
-    p_plus = np.empty(k_pos.size)
-    p_minus = np.empty(k_pos.size)
-    for i, k in enumerate(k_pos):
-        nu[i] = nu_pv(disp, gamma, float(k))
-        c = coefficients(disp, gamma, float(k), nu[i])
-        wp[i], absorb[i], p_plus[i], p_minus[i] = c.wp, c.absorb, c.p_plus, c.p_minus
-    nu, wp, absorb, p_plus, p_minus = (np.concatenate([half[::-1], half])
-                                       for half in (nu, wp, absorb, p_plus, p_minus))
-    omp = np.asarray(disp.omega_prime(k_grid))
+    nu = nu_pv(disp, gamma, k_pos)
+    c = coefficients(disp, gamma, k_pos, nu)
+    nu, absorb, p_plus, p_minus = (np.concatenate([a[::-1], a])
+                                   for a in (nu, c.absorb, c.p_plus, c.p_minus))
     sum_res = np.abs(p_plus + p_minus + absorb - 1.0)
     if gamma == 0.0:
         renu_res = np.zeros(k_grid.size)
     else:
-        renu_res = np.abs(nu.real - (1.0 + np.pi * gamma / np.abs(omp)) * np.abs(nu) ** 2)
+        omp = np.abs(disp.omega_prime(k_grid))
+        renu_res = np.abs(nu.real - (1.0 + np.pi * gamma / omp) * np.abs(nu) ** 2)
     if np.any(absorb < -1e-12) or np.any(absorb > 1.0 + 1e-12):
         bad = k_grid[int(np.argmax(np.abs(absorb - 0.5)))]
         raise TableConstructionError(f"absorption outside [0,1] at k={bad}")
@@ -280,7 +292,7 @@ def build_table(disp: DispersionRelation, gamma: float, n_k: int = 512,
         )
     return ScatteringTable(
         gamma=float(gamma), delta_excl=float(delta_excl), k_grid=k_grid, nu=nu,
-        wp=wp, absorb=absorb, p_plus=p_plus, p_minus=p_minus,
+        absorb=absorb, p_plus=p_plus, p_minus=p_minus,
         identity_residual=sum_res, max_sum_residual=float(sum_res.max(initial=0.0)),
-        max_renu_residual=float(renu_res.max(initial=0.0)), omega_prime=omp,
+        max_renu_residual=float(renu_res.max(initial=0.0)),
     )

@@ -39,7 +39,6 @@ class WignerEstimate:
     values: np.ndarray        # (n_eta, N) complex
     stderr: np.ndarray        # (n_eta, N) real
     n_samples: int
-    t_macro: float = 0.0
 
     def row(self, eta: int) -> np.ndarray:
         idx = np.where(self.eta == eta)[0]
@@ -81,8 +80,8 @@ def wavenumber_grid(N: int) -> np.ndarray:
     return np.where(k < 0.5, k, k - 1.0)
 
 
-def wigner_estimate(psi_hat_samples: np.ndarray, eps: float, eta_max: int,
-                    t_macro: float = 0.0) -> WignerEstimate:
+def wigner_estimate(psi_hat_samples: np.ndarray, eps: float,
+                    eta_max: int) -> WignerEstimate:
     """Monte-Carlo Wigner transform from an (M, N) array of wave-field DFTs.
 
     eta_max must be an even integer at most N/4 (shift grid
@@ -118,8 +117,7 @@ def wigner_estimate(psi_hat_samples: np.ndarray, eps: float, eta_max: int,
     values[neg] = np.conj(values[::-1][neg])
     stderr[neg] = stderr[::-1][neg]
     return WignerEstimate(eps=eps, eta=etas, k_grid=wavenumber_grid(N),
-                          values=values, stderr=stderr, n_samples=M,
-                          t_macro=t_macro)
+                          values=values, stderr=stderr, n_samples=M)
 
 
 def pair_test_function(W: WignerEstimate, g_hat) -> complex:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from phonon_scatter import (DomainError, HorizonError, MemoryKernel,
-                            g_star_series_curve, j_eval, j_laplace)
+from phonon_scatter import (DomainError, MemoryKernel,
+                            g_star_series_curve, j_eval, j_laplace, p0_volterra,
+                            psi_spectral_mild)
 from phonon_scatter.memory import _fft_convolve, _trapezoid_convolve, j_laplace_batch
 from phonon_scatter.scattering import table_grid
 
@@ -150,14 +151,28 @@ def test_march_second_order_against_fine_series(disp_unpinned):
 
 
 def test_phi_basics(disp_unpinned, mk_unpinned_g1):
-    mk = mk_unpinned_g1
+    # Phi(0, k) = 1: only the unit atom contributes at t = 0
     ks = np.array([0.1, 0.25, 0.4])
-    np.testing.assert_allclose(mk.phi(0.0, ks), 1.0, atol=1e-14)
+    np.testing.assert_allclose(mk_unpinned_g1.phase_integral(ks)[:, 0], 1.0, atol=1e-14)
+    # gamma = 0 leaves the atom alone: Phi = 1 at every time
     mk0 = MemoryKernel(disp_unpinned, gamma=0.0, dt=1e-3, horizon=2.0)
-    om = np.asarray(disp_unpinned.omega(ks))
-    np.testing.assert_allclose(mk0.phi(1.5, ks), np.exp(-1.5j * om), atol=1e-13)
-    with pytest.raises(HorizonError):
-        mk.phi(mk.horizon + 1.0, 0.25)
+    np.testing.assert_allclose(mk0.phase_integral(ks), 1.0, atol=1e-14)
+
+
+def test_times_off_the_kernel_grid_are_refused(disp_unpinned):
+    # psi_spectral_mild and p0_volterra read the kernel at grid times only;
+    # a time between two grid points must not be rounded onto one
+    mk = MemoryKernel(disp_unpinned, 1.0, dt=1e-2, horizon=1.0)
+    psi0_hat = np.fft.fft(np.exp(-np.arange(-32, 32) ** 2 / 20.0).astype(complex))
+    for t in (0.015, 0.537):
+        with pytest.raises(DomainError):
+            psi_spectral_mild(psi0_hat, mk, t)
+        with pytest.raises(DomainError):
+            p0_volterra(psi0_hat, mk, t)
+    # grid times are accepted: 0.07 / dt is 7 only to round-off
+    assert p0_volterra(psi0_hat, mk, 0.07)[0][-1] == pytest.approx(0.07, abs=1e-15)
+    assert psi_spectral_mild(psi0_hat, mk, 0.07).shape == psi0_hat.shape
+    assert psi_spectral_mild(psi0_hat, mk, 1.0).shape == psi0_hat.shape
 
 
 def test_phi_laplace_transform_identities(disp_unpinned):

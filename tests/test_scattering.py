@@ -27,6 +27,47 @@ def test_nu_closed_form_quarter(disp_unpinned):
     assert c.absorb == pytest.approx(ABSORB_QUARTER, abs=1e-9)
 
 
+def _half_grid(disp):
+    k_grid = scattering.table_grid(disp, 512, 0.02)
+    return k_grid[k_grid.size // 2:]
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_nu_array_matches_closed_forms(disp_unpinned, disp_pinned, gamma):
+    # nearest-neighbour chains: nu = 2cos(pi k) / (2cos(pi k) + gamma)
+    # unpinned, and 1 / (1 + gamma w / sqrt((w^2 - 1)(5 - w^2))) pinned (m = 1)
+    k = _half_grid(disp_unpinned)
+    c = 2.0 * np.cos(np.pi * k)
+    assert np.max(np.abs(nu_pv(disp_unpinned, gamma, k) - c / (c + gamma))) < 1e-9
+    k = _half_grid(disp_pinned)
+    w = disp_pinned.omega(k)
+    exact = 1.0 / (1.0 + gamma * w / np.sqrt((w**2 - 1.0) * (5.0 - w**2)))
+    assert np.max(np.abs(nu_pv(disp_pinned, gamma, k) - exact)) < 1e-9
+
+
+def test_nu_array_equals_scalar_calls_bitwise(disp_unpinned, disp_pinned):
+    block = scattering._PV_BLOCK
+    for disp in (disp_unpinned, disp_pinned):
+        k = _half_grid(disp)
+        for n in (1, block - 1, block, block + 1, k.size):
+            nu = nu_pv(disp, 1.0, k[:n])
+            assert nu.shape == (n,)
+            assert all(nu[i] == nu_pv(disp, 1.0, float(k[i])) for i in range(n))
+        c = coefficients(disp, 1.0, k, nu)
+        for i in range(k.size):
+            one = coefficients(disp, 1.0, float(k[i]), complex(nu[i]))
+            assert (c.wp[i], c.absorb[i], c.p_plus[i], c.p_minus[i]) == \
+                (one.wp, one.absorb, one.p_plus, one.p_minus)
+
+
+def test_singular_zone_error_names_the_wavenumber(disp_unpinned, disp_pinned):
+    k = np.array([0.1, 0.2, 0.4999999, 0.3])
+    with pytest.raises(SingularZoneError, match="k=0.4999999"):
+        nu_pv(disp_unpinned, 1.0, k)
+    with pytest.raises(SingularZoneError, match=r"k=0\.0\b"):
+        coefficients(disp_pinned, 1.0, np.array([0.2, 0.0, 0.3]), np.ones(3))
+
+
 def test_nu_vanishes_toward_zero_velocity(disp_unpinned):
     ks = np.array([0.30, 0.38, 0.44, 0.47, 0.49])
     mags = [abs(nu_pv(disp_unpinned, 1.0, float(k))) for k in ks]
