@@ -17,8 +17,13 @@ One step of the direct integrator is
 
 The Ornstein-Uhlenbeck substep is exact in distribution, so the thermostat
 imposes no stability constraint; gamma = 0 reduces to plain velocity
-Verlet.  Consecutive half-kicks are fused between steps, costing one FFT
-pair per step.  All state arrays may carry leading batch axes, which is how
+Verlet.  Each step costs one rfft/irfft pair, and allocates nothing: the
+spectrum, the kick and one scratch array are allocated once per call and
+filled through `out=`.  The closing half-kick of one step and the opening
+half-kick of the next share the same force, so between two steps where
+nothing observes the state they are applied as one full kick; they are
+split only where a record, a snapshot or the return needs the synchronised
+state.  All state arrays may carry leading batch axes, which is how
 ensembles are integrated.
 
 The second, independent route (zero temperature only) evolves the wave
@@ -140,6 +145,12 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
     array of shape (n_steps, ...batch).  Returns a Trajectory when `record`
     is set, else None.  `snapshot_fn(p, q)` output is collected every
     `snapshot_every` steps (and at the end).
+
+    The work arrays (the rfft spectrum, the kick -dt (alpha * q) and one
+    scratch array shaped like p) belong to the call, so concurrent calls
+    share nothing.  Every step issues exactly one rfft and one irfft.  The
+    two half-kicks around a step boundary are fused into one full kick
+    unless the boundary is recorded, snapshotted or the end of the run.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -148,17 +159,19 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
             f"dt={dt} violates the stability margin dt*omega_max < {_STABILITY_MARGIN}"
         )
     N = p.shape[-1]
-    ah = alpha_hat_rfft(kernel, N)
+    # -dt folded into the force multiplier: the irfft yields the full kick
+    kick_hat = -dt * alpha_hat_rfft(kernel, N)
     gamma, T = params.gamma, params.temperature
     a = np.exp(-gamma * dt)
     b = np.sqrt(T * (1.0 - a * a))
     needs_noise = gamma > 0.0 and T > 0.0
     if needs_noise and noise is None:
         raise ConfigError("gamma > 0 and T > 0 require a noise source")
-    sqrt_dt = np.sqrt(dt)
+    noise_scale = b / np.sqrt(dt)
 
     batch = p.shape[:-1]
     collect = record or (snapshot_fn is not None and snapshot_every)
+    snap_every = snapshot_every if snapshot_fn is not None else 0
     traj = None
     if collect:
         traj = Trajectory(
@@ -172,41 +185,68 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
         if not needs_noise:
             return None
         if isinstance(noise, np.ndarray):
-            return noise[n0 : n0 + count]
-        if isinstance(noise, EnsembleNoise):
-            return noise.block(count)
-        raise ConfigError(f"unsupported noise source {type(noise)!r}")
+            block = noise[n0 : n0 + count]
+        elif isinstance(noise, EnsembleNoise):
+            block = noise.block(count)
+        else:
+            raise ConfigError(f"unsupported noise source {type(noise)!r}")
+        # one increment per path, shaped like p0 (a (count, 1) block on a
+        # single ring gives 0-d increments)
+        return block.reshape((count,) + batch)
 
-    conv = np.fft.irfft(ah * np.fft.rfft(q, axis=-1), n=N, axis=-1)
+    spectrum = np.empty(batch + (N // 2 + 1,), dtype=complex)
+    kick = np.empty_like(p)
+    scratch = np.empty_like(p)
+    p0 = p[..., 0]
+
+    def update_kick():
+        np.fft.rfft(q, axis=-1, out=spectrum)
+        np.multiply(spectrum, kick_hat, out=spectrum)
+        np.fft.irfft(spectrum, n=N, axis=-1, out=kick)
+
+    def half_kick():
+        np.multiply(kick, 0.5, out=scratch)
+        np.add(p, scratch, out=p)
+
+    def energy():
+        # sum p^2 + sum q (alpha * q), with alpha * q = -kick / dt
+        return np.vecdot(p, p) - np.vecdot(q, kick) / dt
+
+    update_kick()
+    synced = True           # p carries the closing half-kick of the last step
     step = 0
     while step < n_steps:
         count = min(_NOISE_BLOCK, n_steps - step)
         dw_block = draw(step, count)
         for j in range(count):
             if record:
-                traj.energies[step] = np.sum(p * p, axis=-1) + np.sum(q * conv, axis=-1)
-            p -= (0.5 * dt) * conv
-            p0 = p[..., 0]
+                traj.energies[step] = energy()
+            if synced:
+                half_kick()
+            else:
+                np.add(p, kick, out=p)
             if record:
                 traj.p0_at_ou[step] = p0
+            if gamma > 0.0:
+                np.multiply(p0, a, out=p0)
             if needs_noise:
                 dw = dw_block[j]
-                p[..., 0] = a * p0 + (b / sqrt_dt) * dw
+                p0 += noise_scale * dw
                 if record:
                     traj.dw[step] = dw
-            elif gamma > 0.0:
-                p[..., 0] = a * p0
-            q += dt * p
-            conv = np.fft.irfft(ah * np.fft.rfft(q, axis=-1), n=N, axis=-1)
-            p -= (0.5 * dt) * conv
+            np.multiply(p, dt, out=scratch)
+            np.add(q, scratch, out=q)
+            update_kick()
             step += 1
-            if snapshot_fn is not None and snapshot_every and (
-                step % snapshot_every == 0 or step == n_steps
-            ):
+            snap = snap_every and (step % snap_every == 0 or step == n_steps)
+            synced = record or snap or step == n_steps
+            if synced:
+                half_kick()
+            if snap:
                 traj.snapshots.append(snapshot_fn(p, q))
                 traj.snapshot_times.append(step * dt)
     if record:
-        traj.energies[n_steps] = np.sum(p * p, axis=-1) + np.sum(q * conv, axis=-1)
+        traj.energies[n_steps] = energy()
     return traj
 
 

@@ -185,11 +185,16 @@ def hat_alpha(kernel: CouplingKernel, k) -> np.ndarray | float:
 
 
 def _hat_alpha_prime(kernel: CouplingKernel, k) -> np.ndarray | float:
-    """d/dk hat_alpha = -4 pi sum_{y>=1} y alpha_y sin(2 pi k y)."""
+    """d/dk hat_alpha = -4 pi sum_{y>=1} y alpha_y sin(2 pi k y).
+
+    Exactly 0 on the half-integers k, where every sin(2 pi k y) vanishes but
+    its float64 value (sin of a rounded multiple of pi) does not.
+    """
     karr = np.asarray(k, dtype=float)
     out = np.zeros(karr.shape)
     for y, a in zip(kernel._ys, kernel._alpha):
         out -= 4.0 * np.pi * y * a * np.sin(2.0 * np.pi * y * karr)
+    out[np.remainder(2.0 * karr, 1.0) == 0.0] = 0.0
     return out if out.shape else float(out)
 
 
@@ -228,7 +233,7 @@ class DispersionRelation:
         At the acoustic cone the analytic form degenerates; the one-sided
         limit sgn(k) * sqrt(hat_alpha''(0)/2) is returned there (the k -> 0+
         value at k = 0 exactly).  Stationary points return 0 exactly because
-        hat_alpha' vanishes there.
+        `_hat_alpha_prime` is exactly 0 on the half-integers.
         """
         karr = np.asarray(k, dtype=float)
         scalar = karr.ndim == 0

@@ -19,8 +19,12 @@ Every discrete convolution goes through one FFT primitive
 (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): the
 left half of a block is solved first and its whole contribution to the
 right half is added by one FFT convolution, so n steps cost O(n log^2 n)
-instead of O(n^2); short blocks run the step loop.  The equations solved
-are the same, only the order of summation differs.
+instead of O(n^2).  Every short block (leaf) solves the same
+lower-triangular Toeplitz system, whose inverse is lower-triangular
+Toeplitz too: its first column is marched once per kernel, and each leaf
+is then one matrix-vector product with that inverse.  The equations solved
+are the step loop's; only the order of the arithmetic differs, so the
+density agrees with the step loop to round-off, not bitwise.
 
 J is sampled on a uniform grid m dt, m = 0..n, by block phase rotation
 (`_block_rotation`): with B ~ sqrt(n+1) and m = bB + r the phase
@@ -43,8 +47,8 @@ from .lattice import DispersionRelation, panel_integrate
 # edge; the Lorentzian there has width ~eps/omega', far wider for eps >= 1e-4
 _RESOLVENT_PANEL_BASE = 1e-6
 
-# blocks of the divide-and-conquer march this short run the step loop; any
-# size from 32 to 1024 steps times alike
+# blocks of the divide-and-conquer march this short are solved directly,
+# by one product with the inverse of the leaf system
 _MARCH_LEAF = 256
 
 
@@ -179,9 +183,15 @@ class MemoryKernel:
         with the history h_m = J_m g_0 / 2 + sum_{0<i<m} J_{m-i} g_i.  The
         history is summed divide-and-conquer: solve the left half of a block,
         add its part of h on the right half with one `_fft_convolve`, then
-        solve the right half; blocks of at most _MARCH_LEAF steps sum it with
-        one dot product per step.  O(n log^2 n) for n steps instead of the
-        step loop's O(n^2).
+        solve the right half.  O(n log^2 n) for n steps instead of the step
+        loop's O(n^2).
+
+        A block [a, hi) of at most _MARCH_LEAF steps, with the history from
+        before a already in h, is the lower-triangular Toeplitz system
+        (diag I + gamma dt L) g = r, L[m, i] = J_{m-i} for i < m.  Its
+        inverse is lower-triangular Toeplitz with first column x, the step
+        loop's answer to a unit impulse.  x is marched once, the inverse
+        matrix is a strided view of it, and each leaf is one matvec.
         """
         n = j.size
         g = np.zeros(n)
@@ -190,12 +200,20 @@ class MemoryKernel:
             return g
         diag = 1.0 + 0.5 * gamma * dt * j[0]
         hist = 0.5 * j * g[0]
+        x = np.zeros(min(_MARCH_LEAF, n))
+        x[0] = 1.0 / diag
+        for m in range(1, x.size):
+            x[m] = -gamma * dt * np.dot(j[m:0:-1], x[:m]) / diag
+        # row m of the inverse is x[m], x[m-1], ..., x[0], 0, ...: a window
+        # sliding backwards over x reversed and zero-padded, kept as a view
+        # so the matrix costs 2 _MARCH_LEAF floats, not _MARCH_LEAF^2
+        padded = np.concatenate([x[::-1], np.zeros(x.size - 1)])
+        inverse = np.lib.stride_tricks.sliding_window_view(padded, x.size)[::-1]
 
         def solve(a: int, hi: int) -> None:
             if hi - a <= _MARCH_LEAF:
-                for m in range(a, hi):
-                    conv = hist[m] + np.dot(j[m - a : 0 : -1], g[a:m])
-                    g[m] = (-gamma * j[m] - gamma * dt * conv) / diag
+                rhs = -gamma * j[a:hi] - gamma * dt * hist[a:hi]
+                g[a:hi] = inverse[: hi - a, : hi - a] @ rhs
                 return
             mid = (a + hi) // 2
             solve(a, mid)
@@ -253,7 +271,9 @@ class MemoryKernel:
         """
         karr = np.atleast_1d(np.asarray(k, dtype=float))
         out = np.empty((karr.size, self.t_grid.size), dtype=complex)
-        chunk = max(1, int(4e6 // self.t_grid.size))
+        # about 1e5 phases per chunk: each temporary stays near 1.6 MB, far
+        # below the result itself, and the rows stay in cache
+        chunk = max(1, int(1e5 // self.t_grid.size))
         for s in range(0, karr.size, chunk):
             om = np.asarray(self.disp.omega(karr[s : s + chunk]))
             f = np.exp(1j * np.multiply.outer(om, self.t_grid)) * self.gstar_samples

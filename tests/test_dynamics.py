@@ -52,6 +52,97 @@ def test_trajectory_determinism(disp_unpinned):
     assert np.array_equal(results[0][1], results[1][1])
 
 
+def _max_state_diff(a, b):
+    return max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
+
+
+def test_fused_kicks_match_single_steps(disp_unpinned):
+    # between two steps nothing observes the state, so the two half-kicks
+    # there are applied as one; a run of n steps must match n one-step runs,
+    # whose every step ends on a split half-kick
+    ker = nn_unpinned()
+    n, dt = 300, 0.02
+    dw = EnsembleNoise(9, 1, dt).block(n)         # (n_steps, 1) on a single ring
+    for params, noise in ((ThermostatParams(1.0, 0.0), None),
+                          (ThermostatParams(1.0, 0.5), dw)):
+        p, q = _random_state(64)
+        run_direct(p, q, ker, disp_unpinned, params, dt, n, noise=noise)
+        p1, q1 = _random_state(64)
+        for s in range(n):
+            run_direct(p1, q1, ker, disp_unpinned, params, dt, 1,
+                       noise=None if noise is None else noise[s : s + 1])
+        assert _max_state_diff((p, q), (p1, q1)) <= 1e-12
+
+
+def test_snapshots_see_the_synchronised_state(disp_unpinned):
+    ker = nn_unpinned()
+    n, dt, every = 100, 0.02, 30
+    params = ThermostatParams(1.0, 0.5)
+    dw = EnsembleNoise(4, 1, dt).block(n)[:, 0]
+    p, q = _random_state(64)
+    traj = run_direct(p, q, ker, disp_unpinned, params, dt, n, noise=dw,
+                      snapshot_every=every,
+                      snapshot_fn=lambda p, q: (p.copy(), q.copy()))
+    steps = [30, 60, 90, 100]
+    assert traj.snapshot_times == pytest.approx([s * dt for s in steps])
+    for s, snap in zip(steps, traj.snapshots):
+        ps, qs = _random_state(64)
+        run_direct(ps, qs, ker, disp_unpinned, params, dt, s, noise=dw[:s])
+        assert _max_state_diff(snap, (ps, qs)) <= 1e-12
+
+
+def test_recorded_energies_are_chain_energies(disp_unpinned):
+    ker = nn_unpinned()
+    n, dt = 50, 0.02
+    p, q = _random_state(64)
+    E0 = ChainState(64, p.copy(), q.copy()).energy(ker)
+    traj = run_direct(p, q, ker, disp_unpinned, ThermostatParams(1.0, 0.5), dt, n,
+                      noise=EnsembleNoise(2, 1, dt), record=True, snapshot_every=1,
+                      snapshot_fn=lambda p, q: ChainState(64, p.copy(), q.copy()).energy(ker))
+    energies = np.concatenate([[E0], traj.snapshots])
+    np.testing.assert_allclose(traj.energies, energies, rtol=1e-12)
+
+
+def test_batch_rows_match_single_paths(disp_unpinned):
+    # the work arrays are per call and every operation is row-wise, so a
+    # batch gives each path bitwise what a run of that path alone gives
+    ker = nn_unpinned()
+    m, n, dt = 3, 200, 0.02
+    params = ThermostatParams(1.0, 0.5)
+    rows = [_random_state(64, seed=s) for s in range(m)]
+    p = np.array([r[0] for r in rows])
+    q = np.array([r[1] for r in rows])
+    run_direct(p, q, ker, disp_unpinned, params, dt, n,
+               noise=EnsembleNoise(40, m, dt), snapshot_every=70,
+               snapshot_fn=lambda p, q: None)
+    for i, (pi, qi) in enumerate(rows):
+        run_direct(pi, qi, ker, disp_unpinned, params, dt, n,
+                   noise=EnsembleNoise(40 + i, 1, dt), snapshot_every=70,
+                   snapshot_fn=lambda p, q: None)
+        assert np.array_equal(p[i], pi) and np.array_equal(q[i], qi)
+
+
+def test_concurrent_calls_share_no_buffers(disp_unpinned):
+    from concurrent.futures import ThreadPoolExecutor
+
+    ker = nn_unpinned()
+    n, dt = 2000, 0.02
+    params = ThermostatParams(1.0, 0.5)
+
+    def work(seed):
+        p, q = _random_state(128, seed=seed)
+        p, q = np.tile(p, (4, 1)), np.tile(q, (4, 1))
+        run_direct(p, q, ker, disp_unpinned, params, dt, n,
+                   noise=EnsembleNoise(seed, 4, dt))
+        return p, q
+
+    serial = [work(s) for s in (1, 2)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        concurrent = list(pool.map(work, (1, 2)))
+    for a, b in zip(serial, concurrent):
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
 def test_stability_precondition(disp_unpinned):
     p, q = np.zeros(32), np.zeros(32)
     with pytest.raises(ConfigError):

@@ -92,6 +92,21 @@ def test_inverse_branch_values(disp_unpinned):
 
 
 @pytest.mark.parametrize("disp_name", ["disp_unpinned", "disp_pinned"])
+def test_omega_prime_exactly_zero_at_stationary_points(disp_name, request):
+    # sin(2 pi k y) at k = +-1/2 is ~1e-16 in float64, not 0; the stationary
+    # set must still give exactly zero velocity, scalar and array alike
+    disp = request.getfixturevalue(disp_name)
+    ks = np.array([0.0, 0.5, -0.5])
+    arr = disp.omega_prime(ks)
+    for k, v in zip(ks, arr):
+        assert disp.omega_prime(float(k)) == v
+        if disp.distance_to_stationary(float(k)) == 0.0:
+            assert v == 0.0
+        else:                       # the acoustic cone: one-sided slope 2 pi
+            assert v == pytest.approx(2 * np.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("disp_name", ["disp_unpinned", "disp_pinned"])
 def test_omega_prime_matches_finite_differences(disp_name, request):
     disp = request.getfixturevalue(disp_name)
     ks = np.array([0.07, 0.19, 0.33, 0.44])

@@ -68,6 +68,15 @@ def test_singular_zone_error_names_the_wavenumber(disp_unpinned, disp_pinned):
         coefficients(disp_pinned, 1.0, np.array([0.2, 0.0, 0.3]), np.ones(3))
 
 
+def test_coefficients_refuse_the_band_top_of_the_unpinned_chain(disp_unpinned):
+    # omega'(1/2) = 0 exactly, so the zero-velocity guard fires instead of
+    # dividing by a round-off velocity
+    with pytest.raises(SingularZoneError, match="k=0.5"):
+        coefficients(disp_unpinned, 1.0, 0.5, 1.0)
+    with pytest.raises(SingularZoneError, match="k=-0.5"):
+        coefficients(disp_unpinned, 1.0, np.array([0.25, -0.5]), np.ones(2))
+
+
 def test_nu_vanishes_toward_zero_velocity(disp_unpinned):
     ks = np.array([0.30, 0.38, 0.44, 0.47, 0.49])
     mags = [abs(nu_pv(disp_unpinned, 1.0, float(k))) for k in ks]
