@@ -24,7 +24,10 @@ half-kick of the next share the same force, so between two steps where
 nothing observes the state they are applied as one full kick; they are
 split only where a record, a snapshot or the return needs the synchronised
 state.  All state arrays may carry leading batch axes, which is how
-ensembles are integrated.
+ensembles are integrated: the harness hands each worker a row slice of the
+ensemble's output arrays, which it integrates in place.  Noise is drawn in
+blocks of _NOISE_BLOCK = 256 steps, 0.8 MB for 400 paths, and the Philox
+streams make the draws independent of the block size.
 
 The second, independent route (zero temperature only) evolves the wave
 field spectrally: the free momentum history at site 0 is convolved with the
@@ -36,6 +39,7 @@ rotations on the kernel grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +49,8 @@ from .lattice import CouplingKernel, DispersionRelation, hat_alpha
 from .memory import MemoryKernel, _block_rotation, _trapezoid_convolve, _uniform_grid
 
 _STABILITY_MARGIN = 0.5
-# steps of noise drawn per EnsembleNoise block
-_NOISE_BLOCK = 4096
+# steps of noise drawn per block: (256, n_paths) floats, 0.8 MB for 400 paths
+_NOISE_BLOCK = 256
 
 
 @dataclass
@@ -66,7 +70,9 @@ class EnsembleNoise:
 
     Path i uses the Philox key seed0 + i, so ensembles are reproducible and
     order-independent regardless of how they are chunked across workers.
-    Blocks of shape (n_steps, n_paths) are drawn sequentially.
+    Blocks of shape (n_steps, n_paths) are drawn sequentially, and each path
+    streams: `block(a)` then `block(b)` gives bitwise what one `block(a + b)`
+    gives, so the block size never changes a trajectory.
     """
 
     def __init__(self, seed0: int, n_paths: int, dt: float):
@@ -151,6 +157,10 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
     share nothing.  Every step issues exactly one rfft and one irfft.  The
     two half-kicks around a step boundary are fused into one full kick
     unless the boundary is recorded, snapshotted or the end of the run.
+
+    A noise source that does not fit the run (another dt, another number of
+    paths, a pre-drawn array of another shape or with fewer than n_steps
+    steps) raises ConfigError before the first step.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -170,6 +180,8 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
     noise_scale = b / np.sqrt(dt)
 
     batch = p.shape[:-1]
+    if noise is not None:
+        _check_noise(noise, dt, n_steps, batch)
     collect = record or (snapshot_fn is not None and snapshot_every)
     snap_every = snapshot_every if snapshot_fn is not None else 0
     traj = None
@@ -186,10 +198,8 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
             return None
         if isinstance(noise, np.ndarray):
             block = noise[n0 : n0 + count]
-        elif isinstance(noise, EnsembleNoise):
-            block = noise.block(count)
         else:
-            raise ConfigError(f"unsupported noise source {type(noise)!r}")
+            block = noise.block(count)
         # one increment per path, shaped like p0 (a (count, 1) block on a
         # single ring gives 0-d increments)
         return block.reshape((count,) + batch)
@@ -250,21 +260,50 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
     return traj
 
 
+def _check_noise(noise, dt: float, n_steps: int, batch: tuple) -> None:
+    """ConfigError unless `noise` feeds n_steps steps of dt to a batch of
+    rings of shape `batch` (a single ring may take (n_steps, 1) noise)."""
+    paths = math.prod(batch)
+    if isinstance(noise, EnsembleNoise):
+        if noise.n_paths != paths or not math.isclose(noise.dt, dt, rel_tol=1e-12):
+            raise ConfigError(
+                f"noise source drawn for {noise.n_paths} paths at dt={noise.dt}, but "
+                f"the run has {paths} paths (batch shape {batch}) at dt={dt}")
+    elif isinstance(noise, np.ndarray):
+        tails = (batch, (1,)) if batch == () else (batch,)
+        if noise.ndim == 0 or noise.shape[0] < n_steps or noise.shape[1:] not in tails:
+            raise ConfigError(f"pre-drawn noise must have shape {(n_steps,) + batch} "
+                              f"(or more steps), got {noise.shape}")
+    else:
+        raise ConfigError(f"unsupported noise source {type(noise)!r}")
+
+
 def wave_field(p: np.ndarray, q: np.ndarray, disp: DispersionRelation) -> np.ndarray:
     """Complex wave field psi with psi_hat(k) = omega(k) q_hat(k) + i p_hat(k).
 
     Computed spectrally on the discrete grid {j/N}; sum |psi_y|^2 equals
     twice the Hamiltonian exactly (the omega cross term cancels in the
-    k-sum by evenness).
+    k-sum by evenness).  The inverse FFT overwrites `wave_field_hat`'s array.
     """
-    return np.fft.ifft(wave_field_hat(p, q, disp), axis=-1)
+    psi_hat = wave_field_hat(p, q, disp)
+    return np.fft.ifft(psi_hat, axis=-1, out=psi_hat)
 
 
 def wave_field_hat(p: np.ndarray, q: np.ndarray, disp: DispersionRelation) -> np.ndarray:
-    """DFT of the wave field on the full grid {j/N}."""
+    """DFT of the wave field on the full grid {j/N}.
+
+    Two complex arrays shaped like p at any time: each FFT runs in place on
+    a complex copy of its real input, as `np.fft.fft` would allocate anyway.
+    """
     N = p.shape[-1]
-    om = omega_full_grid(disp, N)
-    return om * np.fft.fft(q, axis=-1) + 1j * np.fft.fft(p, axis=-1)
+    out = np.array(q, dtype=complex)
+    np.fft.fft(out, axis=-1, out=out)
+    out *= omega_full_grid(disp, N)
+    ip = np.array(p, dtype=complex)
+    np.fft.fft(ip, axis=-1, out=ip)
+    ip *= 1j
+    out += ip
+    return out
 
 
 def state_from_wave_field(psi: np.ndarray, disp: DispersionRelation) -> tuple[np.ndarray, np.ndarray]:
@@ -348,6 +387,8 @@ def dump_snapshots(path, snapshots, dt: float, times, seed: int,
 
     path = Path(path)
     snaps = [np.stack([np.asarray(p), np.asarray(q)], axis=-1) for p, q in snapshots]
+    if not snaps:
+        raise ConfigError("dump_snapshots needs at least one snapshot")
     N = snaps[0].shape[0]
     blob = np.concatenate([s.astype("<f8").reshape(-1) for s in snaps])
     blob.tofile(path)

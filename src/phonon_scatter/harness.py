@@ -335,40 +335,34 @@ def run_thermal_ensemble(kernel, disp, params: ThermostatParams, N: int, dt: flo
     Initial conditions are zero (vacuum) or Gibbs at `gibbs_temperature`;
     path i draws its noise from the Philox key seed0 + i regardless of
     chunking, and the initial-condition stream is disjoint from the noise
-    keys, so results do not depend on the thread count.  Returns the final
-    (p, q) arrays, plus per-chunk snapshot lists in path order.
+    keys, so results do not depend on the thread count.  Each worker
+    integrates its chunk in place, in a row slice of the output arrays, so
+    no chunk is copied.  Returns the final (p, q) arrays, plus per-chunk
+    snapshot lists in path order.
     """
     threads = max(1, int(threads))
     bounds = np.linspace(0, n_paths, threads + 1).astype(int)
     chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    p_out = np.empty((n_paths, N))
-    q_out = np.empty((n_paths, N))
-    snaps: dict[int, list] = {}
+    p_out = np.zeros((n_paths, N))
+    q_out = np.zeros((n_paths, N))
 
     def work(bounds_pair):
         a, b = bounds_pair
-        m = b - a
-        if gibbs_temperature is None:
-            p = np.zeros((m, N))
-            q = np.zeros((m, N))
-        else:
-            p, q = gibbs_ensemble(N, disp, gibbs_temperature, seed0, range(a, b))
-        noise = EnsembleNoise(seed0 + a, m, dt) if (
+        p, q = p_out[a:b], q_out[a:b]
+        if gibbs_temperature is not None:
+            p[...], q[...] = gibbs_ensemble(N, disp, gibbs_temperature, seed0, range(a, b))
+        noise = EnsembleNoise(seed0 + a, b - a, dt) if (
             params.gamma > 0 and params.temperature > 0) else None
         traj = run_direct(p, q, kernel, disp, params, dt, n_steps, noise=noise,
                           snapshot_every=snapshot_every, snapshot_fn=snapshot_fn)
-        return a, b, p, q, ([] if traj is None else traj.snapshots)
+        return [] if traj is None else traj.snapshots
 
     if threads == 1:
-        results = [work(c) for c in chunks]
+        snaps = [work(c) for c in chunks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
-    for a, b, p, q, s in results:
-        p_out[a:b] = p
-        q_out[a:b] = q
-        snaps[a] = s
-    return p_out, q_out, [snaps[a] for a, _ in chunks]
+            snaps = list(pool.map(work, chunks))
+    return p_out, q_out, snaps
 
 
 # -- experiment: production ----------------------------------------------------

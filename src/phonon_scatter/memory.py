@@ -30,8 +30,12 @@ J is sampled on a uniform grid m dt, m = 0..n, by block phase rotation
 (`_block_rotation`): with B ~ sqrt(n+1) and m = bB + r the phase
 e^{-i omega (bB + r) dt} factors into an outer and an inner table, so a
 phase sum over the whole grid is a product of two small matrices.  The
-dynamics module uses the same helper for the free momentum p0^0 and for
-the mild solution.
+tables are built for a chunk of about _PHASE_CHUNK / B frequencies at a
+time, so a phase sum over n_omega frequencies works in O(chunk (B + n/B))
+= O(_PHASE_CHUNK) memory plus its result, where whole tables took
+O(n_omega sqrt(n)): 233 MB for J at n = 100,000.  `phase_integral` uses
+the same chunk.  The dynamics module uses the same helper for the free
+momentum p0^0 and for the mild solution.
 """
 
 from __future__ import annotations
@@ -50,6 +54,11 @@ _RESOLVENT_PANEL_BASE = 1e-6
 # blocks of the divide-and-conquer march this short are solved directly,
 # by one product with the inverse of the leaf system
 _MARCH_LEAF = 256
+
+# phases per table in one chunk of frequencies (of `_block_rotation` and
+# `MemoryKernel.phase_integral`): each temporary stays near 0.5 MB, whatever
+# the grid or the number of frequencies
+_PHASE_CHUNK = 1 << 15
 
 
 def _uniform_grid(t) -> tuple[float, int]:
@@ -71,17 +80,38 @@ def _block_rotation(om, dt: float, n: int, c, transpose: bool = False) -> np.nda
     A_k = sum_m c_m e^{+i om_k m dt}.  With B ~ sqrt(n+1) and m = bB + r,
     e^{-i om m dt} = outer[b, k] inner[k, r], so both sums are matrix
     products of two tables of (n+1)/B and B phases per om_k, not n+1.
+
+    The tables are built for a chunk of about _PHASE_CHUNK / B frequencies
+    at a time: the forward sum accumulates each chunk's product into one
+    (n+1)/B x B array, the transpose writes each chunk's entries of A.
+    Working memory is O(chunk (B + n/B)) plus the result, where whole
+    tables took O(n_omega sqrt(n)).
     """
     om = np.asarray(om, dtype=float)
+    c = np.asarray(c)
     B = math.isqrt(n) + 1
     nb = -(-(n + 1) // B)
-    outer = np.exp(-1j * np.multiply.outer(np.arange(nb) * (B * dt), om))
-    inner = np.exp(-1j * np.multiply.outer(om, np.arange(B) * dt))
+    outer_t = np.arange(nb) * (B * dt)
+    inner_t = np.arange(B) * dt
+    chunk = max(1, _PHASE_CHUNK // max(B, nb))
     if not transpose:
-        return ((outer * c) @ inner).reshape(-1)[: n + 1]
+        acc = np.zeros((nb, B), dtype=complex)
+        for s in range(0, om.size, chunk):
+            w = om[s : s + chunk]
+            outer = np.exp(-1j * np.multiply.outer(outer_t, w))
+            outer *= c[s : s + chunk]
+            acc += outer @ np.exp(-1j * np.multiply.outer(w, inner_t))
+        return acc.reshape(-1)[: n + 1]
     blocks = np.zeros(nb * B, dtype=complex)
     blocks[: n + 1] = c
-    return np.sum(np.conj(outer) * (blocks.reshape(nb, B) @ np.conj(inner).T), axis=0)
+    blocks = blocks.reshape(nb, B)
+    out = np.empty(om.size, dtype=complex)
+    for s in range(0, om.size, chunk):
+        w = om[s : s + chunk]
+        outer = np.exp(1j * np.multiply.outer(outer_t, w))
+        outer *= blocks @ np.exp(1j * np.multiply.outer(inner_t, w))
+        np.sum(outer, axis=0, out=out[s : s + chunk])
+    return out
 
 
 def j_eval(disp: DispersionRelation, t) -> np.ndarray | float:
@@ -271,16 +301,20 @@ class MemoryKernel:
         """
         karr = np.atleast_1d(np.asarray(k, dtype=float))
         out = np.empty((karr.size, self.t_grid.size), dtype=complex)
-        # about 1e5 phases per chunk: each temporary stays near 1.6 MB, far
-        # below the result itself, and the rows stay in cache
-        chunk = max(1, int(1e5 // self.t_grid.size))
+        chunk = max(1, _PHASE_CHUNK // self.t_grid.size)
         for s in range(0, karr.size, chunk):
             om = np.asarray(self.disp.omega(karr[s : s + chunk]))
-            f = np.exp(1j * np.multiply.outer(om, self.t_grid)) * self.gstar_samples
-            c = np.empty_like(f)
-            c[:, 0] = 0.0
-            np.cumsum(0.5 * (f[:, 1:] + f[:, :-1]) * self.dt, axis=1, out=c[:, 1:])
-            out[s : s + chunk] = 1.0 + c
+            f = np.exp(1j * np.multiply.outer(om, self.t_grid))
+            f *= self.gstar_samples
+            # each chunk's cumulative trapezoid is built in its rows of out
+            rows = out[s : s + chunk]
+            rows[:, 0] = 0.0
+            tail = rows[:, 1:]
+            np.add(f[:, 1:], f[:, :-1], out=tail)
+            tail *= 0.5
+            tail *= self.dt
+            np.cumsum(tail, axis=1, out=tail)
+            rows += 1.0
         return out
 
 

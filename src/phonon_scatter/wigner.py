@@ -240,9 +240,13 @@ def windowed_k_density(psi_samples: np.ndarray, chi: np.ndarray,
     """
     M, N = psi_samples.shape
     eps = 1.0 / N
-    u = np.sqrt(chi) * psi_samples
-    u_hat = np.fft.fft(u, axis=1)
-    per_sample = (0.5 * eps / N) * (mask * np.abs(u_hat) ** 2).sum(axis=1)
+    # one complex and one real array shaped like psi_samples, reused in place
+    u_hat = np.multiply(np.sqrt(chi), psi_samples)
+    np.fft.fft(u_hat, axis=1, out=u_hat)
+    power = np.abs(u_hat)
+    np.square(power, out=power)
+    power *= mask
+    per_sample = (0.5 * eps / N) * power.sum(axis=1)
     norm = (eps * chi.sum()) * (mask.sum() / N)
     vals = per_sample / norm
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0

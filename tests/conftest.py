@@ -4,6 +4,8 @@ Session-scoped because construction (Volterra marches, PV tables) is the
 expensive part; every object is immutable after construction.
 """
 
+import tracemalloc
+
 import pytest
 
 from phonon_scatter import (DispersionRelation, MemoryKernel, build_table,
@@ -36,3 +38,20 @@ def mk_long_march(disp_unpinned):
 @pytest.fixture(scope="session")
 def table_unpinned_g1(disp_unpinned):
     return build_table(disp_unpinned, 1.0, n_k=512, delta_excl=0.02)
+
+
+def _traced_peak_mb(fn) -> float:
+    """Peak traced allocation of one call fn(), in MB (1e6 bytes)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak_mb():
+    """traced_peak_mb(fn): the peak memory numpy and Python allocate during
+    one call fn(), in MB, for tests that pin a layer's working memory."""
+    return _traced_peak_mb

@@ -39,6 +39,13 @@ def test_ensemble_noise_per_path_keys():
         assert np.array_equal(block[:, i], rng.standard_normal(50) * np.sqrt(0.01))
 
 
+def test_noise_blocks_stream():
+    # consecutive blocks continue each path's stream, so the integrator's
+    # block size never shows in a trajectory
+    a, b = EnsembleNoise(5, 3, 0.01), EnsembleNoise(5, 3, 0.01)
+    assert np.array_equal(np.concatenate([a.block(100), a.block(300)]), b.block(400))
+
+
 def test_trajectory_determinism(disp_unpinned):
     ker = nn_unpinned()
     results = []
@@ -147,6 +154,33 @@ def test_stability_precondition(disp_unpinned):
     p, q = np.zeros(32), np.zeros(32)
     with pytest.raises(ConfigError):
         run_direct(p, q, nn_unpinned(), disp_unpinned, ThermostatParams(), 0.3, 1)
+
+
+def test_mismatched_noise_refused_before_the_first_step(disp_unpinned):
+    ker = nn_unpinned()
+    params = ThermostatParams(1.0, 0.5)
+    n, dt = 20, 0.05
+    batch = np.zeros((3, 32))
+    sources = [
+        (batch, EnsembleNoise(1, 3, 0.5), "dt=0.5.*dt=0.05"),  # another dt
+        (batch, EnsembleNoise(1, 2, dt), "2 paths"),          # another path count
+        (batch, np.zeros((n, 2)), r"\(20, 3\)"),              # another shape
+        (batch, np.zeros((n - 1, 3)), r"\(19, 3\)"),          # too few steps
+        (np.zeros(32), np.zeros((n, 2)), r"\(20,\)"),
+        (np.zeros(32), np.zeros(()), r"\(20,\)"),
+        (batch, [0.0] * n, "unsupported"),
+    ]
+    for state, noise, named in sources:
+        p, q = state.copy(), state.copy()
+        q[..., 1] = 1.0
+        q_before = q.copy()
+        with pytest.raises(ConfigError, match=named):
+            run_direct(p, q, ker, disp_unpinned, params, dt, n, noise=noise)
+        assert not p.any() and np.array_equal(q, q_before)      # no step taken
+    # what fits is taken: (n_steps, 1) on a single ring, extra steps unused
+    p, q = np.zeros(32), np.zeros(32)
+    run_direct(p, q, ker, disp_unpinned, params, dt, n, noise=np.ones((n + 5, 1)))
+    assert p.any()
 
 
 def test_energy_conservation_free(disp_unpinned):

@@ -127,6 +127,51 @@ def test_snapshot_dump_roundtrip(tmp_path):
     assert path.stat().st_size == 3 * 32 * 2 * 8
 
 
+def test_snapshot_dump_refuses_an_empty_list(tmp_path):
+    from phonon_scatter import dump_snapshots
+    with pytest.raises(ConfigError, match="at least one snapshot"):
+        dump_snapshots(tmp_path / "none.bin", [], dt=0.01, times=[], seed=0,
+                       kernel_name="nn_unpinned")
+    assert not (tmp_path / "none.bin").exists()
+
+
+@pytest.mark.parametrize("gibbs", [None, 0.7])
+def test_thermal_ensemble_in_place_matches_per_chunk_runs(gibbs):
+    # 7 paths over 3 threads make chunks of 2, 2 and 3 rows; 300 steps
+    # cross a noise block.  The rows integrated in place must carry the
+    # bits of one run_direct call per chunk, at any thread count.
+    from phonon_scatter import (DispersionRelation, EnsembleNoise, ThermostatParams,
+                                gibbs_ensemble, nn_unpinned, run_direct)
+    from phonon_scatter.harness import run_thermal_ensemble
+
+    ker = nn_unpinned()
+    disp = DispersionRelation(ker)
+    params = ThermostatParams(1.0, 0.5)
+    N, dt, n, M, seed = 32, 0.05, 300, 7, 11
+
+    def ensemble(threads):
+        return run_thermal_ensemble(ker, disp, params, N, dt, n, M, seed, threads=threads,
+                                    gibbs_temperature=gibbs, snapshot_every=100,
+                                    snapshot_fn=lambda p, q: p.copy())
+
+    p1, q1, s1 = ensemble(1)
+    p3, q3, s3 = ensemble(3)
+    assert np.array_equal(p1, p3) and np.array_equal(q1, q3)
+    assert np.array_equal(np.concatenate(s1[0], axis=1),
+                          np.concatenate([np.concatenate(s, axis=1) for s in s3]))
+    for (a, b), snaps in zip([(0, 2), (2, 4), (4, 7)], s3):
+        if gibbs is None:
+            p, q = np.zeros((b - a, N)), np.zeros((b - a, N))
+        else:
+            p, q = gibbs_ensemble(N, disp, gibbs, seed, range(a, b))
+        traj = run_direct(p, q, ker, disp, params, dt, n,
+                          noise=EnsembleNoise(seed + a, b - a, dt), snapshot_every=100,
+                          snapshot_fn=lambda p, q: p.copy())
+        assert np.array_equal(p, p3[a:b]) and np.array_equal(q, q3[a:b])
+        assert len(traj.snapshots) == len(snaps) == 3
+        assert all(np.array_equal(x, y) for x, y in zip(traj.snapshots, snaps))
+
+
 def test_scattering_state_dump(tmp_path):
     from phonon_scatter import load_snapshots
     cfg = {"experiment": "scattering", "kernel": "nn_unpinned", "gamma": 1.0,

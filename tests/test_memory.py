@@ -5,7 +5,8 @@ from scipy.special import j0
 from phonon_scatter import (DomainError, MemoryKernel,
                             g_star_series_curve, j_eval, j_laplace, p0_volterra,
                             psi_spectral_mild)
-from phonon_scatter.memory import _fft_convolve, _trapezoid_convolve, j_laplace_batch
+from phonon_scatter.memory import (_block_rotation, _fft_convolve, _trapezoid_convolve,
+                                   j_laplace_batch)
 from phonon_scatter.scattering import table_grid
 
 
@@ -214,3 +215,37 @@ def test_j_nodes_scale_with_time(disp_unpinned):
     # phase resolution is held roughly constant, so long times stay accurate
     val = j_eval(disp_unpinned, 800.0)
     assert abs(val - j0(1600.0)) < 1e-10
+
+
+@pytest.mark.parametrize("n, n_om", [(10_000, 1000), (99, 7000), (50, 1), (0, 3), (0, 1)])
+def test_block_rotation_matches_dense_tables(n, n_om):
+    # the chunked tables against one dense table of every phase; the first
+    # two sizes span 4 and 3 chunks of frequencies
+    rng = np.random.default_rng(n + n_om)
+    dt = 0.01
+    om = rng.uniform(0.0, 2.0, n_om)
+    phases = np.exp(-1j * np.multiply.outer(np.arange(n + 1) * dt, om))
+    c = rng.standard_normal(n_om) + 1j * rng.standard_normal(n_om)
+    cm = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    for got, dense in ((_block_rotation(om, dt, n, c), phases @ c),
+                       (_block_rotation(om, dt, n, cm, transpose=True),
+                        cm @ np.conj(phases))):
+        assert got.shape == dense.shape
+        assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+def test_phase_integral_chunks_match_one_dense_table(mk_unpinned_g1):
+    # 5001 grid times give 6 rows per chunk, so 20 wavenumbers span 4 chunks
+    mk = mk_unpinned_g1
+    k = np.linspace(0.01, 0.49, 20)
+    f = np.exp(1j * np.multiply.outer(mk.disp.omega(k), mk.t_grid)) * mk.gstar_samples
+    dense = np.ones_like(f)
+    dense[:, 1:] += np.cumsum(0.5 * (f[:, 1:] + f[:, :-1]) * mk.dt, axis=1)
+    np.testing.assert_allclose(mk.phase_integral(k), dense, rtol=0, atol=1e-13)
+
+
+def test_j_eval_working_memory_is_bounded(mk_long_march, traced_peak_mb):
+    # 100,001 times and 16,001 frequencies: whole phase tables took 233 MB,
+    # the chunked ones a few MB next to the 0.8 MB result
+    t = mk_long_march.t_grid
+    assert traced_peak_mb(lambda: j_eval(mk_long_march.disp, t)) < 16.0
