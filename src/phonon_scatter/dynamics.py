@@ -18,16 +18,19 @@ One step of the direct integrator is
 The Ornstein-Uhlenbeck substep is exact in distribution, so the thermostat
 imposes no stability constraint; gamma = 0 reduces to plain velocity
 Verlet.  Each step costs one rfft/irfft pair, and allocates nothing: the
-spectrum, the kick and one scratch array are allocated once per call and
-filled through `out=`.  The closing half-kick of one step and the opening
-half-kick of the next share the same force, so between two steps where
-nothing observes the state they are applied as one full kick; they are
-split only where a record, a snapshot or the return needs the synchronised
-state.  All state arrays may carry leading batch axes, which is how
-ensembles are integrated: the harness hands each worker a row slice of the
-ensemble's output arrays, which it integrates in place.  Noise is drawn in
-blocks of _NOISE_BLOCK = 256 steps, 0.8 MB for 400 paths, and the Philox
-streams make the draws independent of the block size.
+spectrum and the kick are allocated once per call and filled through
+`out=`.  The drift stages dt p in the kick, which is spent by then, and a
+half-kick stages half the kick in the spectrum's floats, which are free
+between an irfft and the next rfft.  The closing half-kick of one step and
+the opening half-kick of the next share the same force, so between two
+steps where nothing observes the state they are applied as one full kick;
+they are split only where a record, a snapshot or the return needs the
+synchronised state.  All state arrays may carry leading batch axes, which
+is how ensembles are integrated: the harness hands each worker a row slice
+of the ensemble's output arrays, which it integrates in place.  Noise is
+drawn in blocks of _NOISE_BLOCK = 256 steps, 0.8 MB for 400 paths, each
+freed before the next is drawn, and the Philox streams make the draws
+independent of the block size.
 
 The second, independent route (zero temperature only) evolves the wave
 field spectrally: the free momentum history at site 0 is convolved with the
@@ -51,6 +54,8 @@ from .memory import MemoryKernel, _block_rotation, _trapezoid_convolve, _uniform
 _STABILITY_MARGIN = 0.5
 # steps of noise drawn per block: (256, n_paths) floats, 0.8 MB for 400 paths
 _NOISE_BLOCK = 256
+# rows per rfft/irfft pair in wave_field: a (64, N/2+1) spectrum at a time
+_WAVE_ROWS = 64
 
 
 @dataclass
@@ -152,9 +157,10 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
     is set, else None.  `snapshot_fn(p, q)` output is collected every
     `snapshot_every` steps (and at the end).
 
-    The work arrays (the rfft spectrum, the kick -dt (alpha * q) and one
-    scratch array shaped like p) belong to the call, so concurrent calls
-    share nothing.  Every step issues exactly one rfft and one irfft.  The
+    The two work arrays, the rfft spectrum and the kick -dt (alpha * q),
+    belong to the call, so concurrent calls share nothing; the drift and
+    the half-kicks stage their products in whichever of the two is free at
+    that point.  Every step issues exactly one rfft and one irfft.  The
     two half-kicks around a step boundary are fused into one full kick
     unless the boundary is recorded, snapshotted or the end of the run.
 
@@ -206,7 +212,8 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
 
     spectrum = np.empty(batch + (N // 2 + 1,), dtype=complex)
     kick = np.empty_like(p)
-    scratch = np.empty_like(p)
+    # the spectrum's first N floats per row, free between irfft and rfft
+    half = spectrum.view(float)[..., :N]
     p0 = p[..., 0]
 
     def update_kick():
@@ -215,8 +222,8 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
         np.fft.irfft(spectrum, n=N, axis=-1, out=kick)
 
     def half_kick():
-        np.multiply(kick, 0.5, out=scratch)
-        np.add(p, scratch, out=p)
+        np.multiply(kick, 0.5, out=half)
+        np.add(p, half, out=p)
 
     def energy():
         # sum p^2 + sum q (alpha * q), with alpha * q = -kick / dt
@@ -244,8 +251,9 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
                 p0 += noise_scale * dw
                 if record:
                     traj.dw[step] = dw
-            np.multiply(p, dt, out=scratch)
-            np.add(q, scratch, out=q)
+            # the kick is spent until update_kick refills it
+            np.multiply(p, dt, out=kick)
+            np.add(q, kick, out=q)
             update_kick()
             step += 1
             snap = snap_every and (step % snap_every == 0 or step == n_steps)
@@ -255,6 +263,8 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
             if snap:
                 traj.snapshots.append(snapshot_fn(p, q))
                 traj.snapshot_times.append(step * dt)
+        # the spent block (dw is a view of it) goes before the next is drawn
+        dw_block = dw = None
     if record:
         traj.energies[n_steps] = energy()
     return traj
@@ -279,14 +289,26 @@ def _check_noise(noise, dt: float, n_steps: int, batch: tuple) -> None:
 
 
 def wave_field(p: np.ndarray, q: np.ndarray, disp: DispersionRelation) -> np.ndarray:
-    """Complex wave field psi with psi_hat(k) = omega(k) q_hat(k) + i p_hat(k).
+    """Complex wave field psi = Omega q + i p, whose DFT is
+    psi_hat(k) = omega(k) q_hat(k) + i p_hat(k).
 
-    Computed spectrally on the discrete grid {j/N}; sum |psi_y|^2 equals
-    twice the Hamiltonian exactly (the omega cross term cancels in the
-    k-sum by evenness).  The inverse FFT overwrites `wave_field_hat`'s array.
+    omega is even and q real, so Omega q = irfft(omega rfft(q)) is real: one
+    rfft/irfft pair on the grid {j/N}, j = 0..N/2, written straight into
+    psi.real, and psi.imag is p exactly.  The pair runs on _WAVE_ROWS rows
+    at a time, so the working memory beyond psi is one small spectrum.
+    sum |psi_y|^2 equals twice the Hamiltonian exactly (the omega cross
+    term cancels in the k-sum by evenness).
     """
-    psi_hat = wave_field_hat(p, q, disp)
-    return np.fft.ifft(psi_hat, axis=-1, out=psi_hat)
+    N = p.shape[-1]
+    omega = disp.omega(np.arange(N // 2 + 1) / N)
+    psi = np.empty(np.shape(p), dtype=complex)
+    psi.imag = p
+    q_rows, psi_rows = np.reshape(q, (-1, N)), psi.reshape(-1, N)
+    for a in range(0, len(q_rows), _WAVE_ROWS):
+        spectrum = np.fft.rfft(q_rows[a : a + _WAVE_ROWS], axis=-1)
+        spectrum *= omega
+        np.fft.irfft(spectrum, n=N, axis=-1, out=psi_rows[a : a + _WAVE_ROWS].real)
+    return psi
 
 
 def wave_field_hat(p: np.ndarray, q: np.ndarray, disp: DispersionRelation) -> np.ndarray:

@@ -44,8 +44,8 @@ from .kinetics import (CosineBumpSquaredProfile, LimitSolution, SeparableInitial
 from .lattice import DispersionRelation, kernel_from_spec
 from .packets import WavePacketSpec, gibbs_ensemble, init_rng, sample_initial
 from .scattering import build_table, nu_laplace_limit
-from .wigner import (production_profile, scattering_fractions, wavenumber_grid,
-                     wigner_estimate)
+from .wigner import (production_profile, production_windows, scattering_fractions,
+                     wavenumber_grid, wigner_estimate)
 
 SEAM_GUARD_FRACTION = 1e-6
 # width of the macroscopic band |x| >= 1/2 - SEAM_BAND that the wraparound
@@ -378,6 +378,8 @@ def run_production(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> 
     _require(cfg["t_macro"] * v_max < 0.5 - SEAM_BAND,
              f"t_macro must be below {(0.5 - SEAM_BAND) / v_max:.3f}, where the front "
              f"at group velocity {v_max:.3f} reaches the seam band")
+    # a bin without a k node or a wedge site would read 0/0 after the run
+    production_windows(N, disp, cfg["t_macro"], tuple(cfg["k_band"]), cfg["n_bins"])
     M = cfg["ensemble"]["paths"]
     table = _table(cfg, disp)
     params = ThermostatParams(cfg["gamma"], T)

@@ -237,19 +237,67 @@ def windowed_k_density(psi_samples: np.ndarray, chi: np.ndarray,
 
     normalized by (int chi dx)(int mask dk) so a field at local equilibrium
     density W returns W.  chi is sampled per site, mask per k node.
+
+    Only the sites S with chi > 0 and the modes J with mask > 0 enter, so
+    the DFT is restricted to that support: u_hat = (psi[:, S] chi[S]^{1/2})
+    @ exp(-2 pi i S (x) J / N), one (M x |S|)(|S| x |J|) product costing
+    O(M |S| |J|) in place of M full FFTs.  An empty support raises
+    ConfigError.
     """
     M, N = psi_samples.shape
     eps = 1.0 / N
-    # one complex and one real array shaped like psi_samples, reused in place
-    u_hat = np.multiply(np.sqrt(chi), psi_samples)
-    np.fft.fft(u_hat, axis=1, out=u_hat)
-    power = np.abs(u_hat)
+    sites, modes = np.flatnonzero(chi > 0), np.flatnonzero(mask > 0)
+    if sites.size == 0:
+        raise ConfigError("windowed_k_density: the spatial window chi covers no site")
+    if modes.size == 0:
+        raise ConfigError("windowed_k_density: the k mask covers no k node")
+    # exact phases: the exponent S*J is reduced mod N before the table lookup
+    roots = np.exp(-2j * np.pi * np.arange(N) / N)
+    u = psi_samples[:, sites]
+    u *= np.sqrt(chi[sites])
+    power = np.abs(u @ roots[np.outer(sites, modes) % N])
     np.square(power, out=power)
-    power *= mask
-    per_sample = (0.5 * eps / N) * power.sum(axis=1)
+    per_sample = (0.5 * eps / N) * (power @ mask[modes])
     norm = (eps * chi.sum()) * (mask.sum() / N)
     vals = per_sample / norm
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
+
+
+def production_windows(N: int, disp: DispersionRelation, t_macro: float,
+                       k_band: tuple[float, float] = (0.15, 0.35), n_bins: int = 8,
+                       wedge: tuple[float, float] = (0.1, 0.9)) -> list[tuple]:
+    """The k-bins of a production profile with their windows on an N ring.
+
+    Bin b spans [lo, hi] of k_band cut into n_bins; its spatial window chi
+    covers the wedge x in [wedge_lo * v t, wedge_hi * v t], v the group
+    velocity at the bin center, and its k mask is a flat-top around the
+    center.  Returns (lo, hi, mid, chi, mask) per bin.  A bin whose mask
+    holds no k node, or whose window holds no site, would read 0/0: it
+    raises ConfigError naming the keys that set it.
+    """
+    x = site_coordinates(N) / N
+    k = wavenumber_grid(N)
+    edges = np.linspace(k_band[0], k_band[1], n_bins + 1)
+    out = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (lo + hi)
+        mask = flat_top_mask(k, mid, half_width=0.5 * (hi - lo), flat_fraction=0.6)
+        if not np.any(mask > 0):
+            raise ConfigError(
+                f"n_bins={n_bins} leaves the bin [{lo:.5f}, {hi:.5f}] of k_band without "
+                f"a k node of the N={N} grid (spacing {1.0 / N:.5f}); use fewer bins "
+                f"or a larger N")
+        v = abs(disp.group_velocity(mid))
+        x_lo, x_hi = wedge[0] * v * t_macro, wedge[1] * v * t_macro
+        taper = 0.15 * (x_hi - x_lo)
+        chi = spatial_window(x, x_lo, x_hi, taper)
+        if not np.any(chi > 0):
+            raise ConfigError(
+                f"the wedge [{x_lo:.5f}, {x_hi:.5f}] of the bin [{lo:.5f}, {hi:.5f}] "
+                f"holds no site of the N={N} ring (spacing {1.0 / N:.5f}); raise "
+                f"t_macro or move k_band away from zero group velocity")
+        out.append((lo, hi, mid, chi, mask))
+    return out
 
 
 def production_profile(psi_samples: np.ndarray, disp: DispersionRelation,
@@ -259,27 +307,17 @@ def production_profile(psi_samples: np.ndarray, disp: DispersionRelation,
                        min_samples: int = 1000) -> tuple[list[ProductionBin], list[str]]:
     """Wedge-averaged Wigner density per k-bin against the production target.
 
-    For each bin centered at k_b the spatial window covers the wedge
-    x in [wedge_lo * v t, wedge_hi * v t] with v the bin's group velocity,
-    and the estimate is compared with the bin average of absorb(k) * T.
-    Returns the bins plus warning annotations (small ensembles are
-    annotated, not failed).
+    For each bin of `production_windows` the estimate on its wedge is
+    compared with the bin average of absorb(k) * T.  Returns the bins plus
+    warning annotations (small ensembles are annotated, not failed).
     """
     M, N = psi_samples.shape
     warnings = []
     if M < min_samples:
         warnings.append(f"ensemble of {M} paths below the target {min_samples}")
-    x = site_coordinates(N) / N
-    k = wavenumber_grid(N)
-    edges = np.linspace(k_band[0], k_band[1], n_bins + 1)
     bins: list[ProductionBin] = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        v = abs(disp.group_velocity(mid))
-        x_lo, x_hi = wedge[0] * v * t_macro, wedge[1] * v * t_macro
-        taper = 0.15 * (x_hi - x_lo)
-        chi = spatial_window(x, x_lo, x_hi, taper)
-        mask = flat_top_mask(k, mid, half_width=0.5 * (hi - lo), flat_fraction=0.6)
+    for lo, hi, mid, chi, mask in production_windows(N, disp, t_macro, k_band,
+                                                       n_bins, wedge):
         est, se = windowed_k_density(psi_samples, chi, mask)
         sel = (table.k_grid >= lo) & (table.k_grid <= hi)
         pred = float(np.mean(table.absorb[sel])) * temperature if sel.any() else float(

@@ -270,6 +270,45 @@ def test_wave_field_identities(disp_unpinned):
     assert np.sum(np.abs(psi_hat) ** 2) / 128 == pytest.approx(st.energy(ker), rel=1e-10)
 
 
+@pytest.mark.parametrize("shape, pinned", [((128,), False), ((5, 64), False),
+                                           ((3, 128), True)])
+def test_wave_field_matches_the_inverse_of_its_dft(disp_unpinned, disp_pinned,
+                                                   shape, pinned):
+    # one real transform pair gives what the full complex route gives
+    disp = disp_pinned if pinned else disp_unpinned
+    rng = np.random.default_rng(3)
+    p, q = rng.standard_normal(shape), rng.standard_normal(shape)
+    psi = wave_field(p, q, disp)
+    ref = np.fft.ifft(wave_field_hat(p, q, disp), axis=-1)
+    assert psi.shape == shape and psi.dtype == complex
+    assert np.max(np.abs(psi - ref)) <= 1e-13 * np.max(np.abs(psi))
+    assert np.array_equal(psi.imag, p)
+
+
+def test_wave_field_working_memory(disp_unpinned, traced_peak_mb):
+    # the result (3.3 MB) plus one spectrum of a few rows; the whole
+    # (800, 129) spectrum would add 1.7 MB
+    rng = np.random.default_rng(5)
+    p, q = rng.standard_normal((800, 256)), rng.standard_normal((800, 256))
+    assert traced_peak_mb(lambda: wave_field(p, q, disp_unpinned)) < 4.0
+
+
+def test_run_direct_working_memory(disp_unpinned, traced_peak_mb):
+    # the spectrum, the kick and one noise block, 0.8 MB each: no third
+    # array shaped like the state, and the first block is freed before the
+    # second is drawn
+    M, N, dt = 400, 256, 0.04
+    params = ThermostatParams(1.0, 0.5)
+    # a first transform of length N sets up numpy's FFT plan: not counted
+    run_direct(np.zeros(N), np.zeros(N), nn_unpinned(), disp_unpinned, params, dt, 1,
+               noise=EnsembleNoise(11, 1, dt))
+    p, q = np.zeros((M, N)), np.zeros((M, N))
+    noise = EnsembleNoise(11, M, dt)
+    assert traced_peak_mb(lambda: run_direct(p, q, nn_unpinned(), disp_unpinned,
+                                             params, dt, 512, noise=noise)) < 2.8
+    assert p.any()
+
+
 def test_local_energy_conserved_until_interface(disp_unpinned):
     # packet far from site 0: with strong damping present, total energy
     # stays put until the support reaches the thermostat

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import phonon_scatter
-from phonon_scatter import ConfigError, run_experiment
+from phonon_scatter import ConfigError, harness, run_experiment
 from phonon_scatter.cli import main as cli_main
 from phonon_scatter.harness import resolve_config
 
@@ -298,6 +298,28 @@ PRODUCTION = {"temperature": 1.0, "N": 128, "dt": 0.05, "t_macro": 0.25,
 def test_cli_rejects_config_with_exit_2(tmp_path, capsys, command, cfg, named):
     path = _write_cfg(tmp_path, "cfg.json", cfg)
     assert cli_main([command.replace("_", "-"), "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config rejected: ") and "Traceback" not in err
+    for word in named:
+        assert word in err
+
+
+@pytest.mark.parametrize("cfg, named", [
+    # bins narrower than the k spacing: 22 of 40 hold no k node
+    ({"k_band": [0.18, 0.33], "n_bins": 40}, ["n_bins"]),
+    # near the band top the wedge is narrower than one site
+    ({"N": 64, "t_macro": 0.1, "k_band": [0.45, 0.48], "n_bins": 1},
+     ["t_macro", "k_band"]),
+])
+def test_cli_rejects_production_bins_that_see_nothing(tmp_path, capsys, monkeypatch,
+                                                      cfg, named):
+    def never(*args, **kwargs):
+        raise AssertionError("the ensemble ran before the bins were checked")
+
+    monkeypatch.setattr(harness, "run_thermal_ensemble", never)
+    path = _write_cfg(tmp_path, "cfg.json", {**PRODUCTION, **cfg})
+    assert cli_main(["production", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config rejected: ") and "Traceback" not in err

@@ -7,6 +7,7 @@ from phonon_scatter import (ConfigError, InvalidRunError, ThermostatParams,
                             sample_initial, scattering_fractions, site_coordinates,
                             spatial_window, wave_field, wave_field_hat,
                             wavenumber_grid, wigner_estimate, windowed_k_density)
+from phonon_scatter.wigner import production_windows
 
 
 def _packet_hat(disp, N, seed=1, **kw):
@@ -174,3 +175,47 @@ def test_windowed_density_calibration_on_gibbs(disp_unpinned):
     mask = flat_top_mask(wavenumber_grid(N), 0.25, 0.05)
     est, se = windowed_k_density(psi, chi, mask)
     assert est == pytest.approx(T, abs=4 * se + 0.02 * T)
+
+
+def _full_fft_density(psi, chi, mask):
+    # every site and every mode through one full FFT per sample
+    M, N = psi.shape
+    power = np.abs(np.fft.fft(np.sqrt(chi) * psi, axis=1)) ** 2 * mask
+    vals = (0.5 / N**2) * power.sum(axis=1) / ((chi.sum() / N) * (mask.sum() / N))
+    return vals.mean(), vals.std(ddof=1) / np.sqrt(M)
+
+
+def _random_field(M, N, seed=4):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
+
+
+def test_windowed_density_on_its_support_matches_full_fft(disp_unpinned):
+    N = 256
+    psi = _random_field(60, N)
+    windows = production_windows(N, disp_unpinned, 0.3, (0.15, 0.35), 8)
+    assert len(windows) == 8
+    rng = np.random.default_rng(8)
+    full = (0.5 + rng.random(N), 0.5 + rng.random(N))    # every site and mode
+    for chi, mask in [w[3:] for w in windows] + [full]:
+        est, se = windowed_k_density(psi, chi, mask)
+        ref_est, ref_se = _full_fft_density(psi, chi, mask)
+        assert est == pytest.approx(ref_est, rel=1e-12)
+        assert se == pytest.approx(ref_se, rel=1e-12)
+
+
+def test_windowed_density_refuses_an_empty_support():
+    psi = _random_field(4, 64)
+    ones, zeros = np.ones(64), np.zeros(64)
+    with pytest.raises(ConfigError, match="chi"):
+        windowed_k_density(psi, zeros, ones)
+    with pytest.raises(ConfigError, match="mask"):
+        windowed_k_density(psi, ones, zeros)
+
+
+def test_windowed_density_working_memory(disp_unpinned, traced_peak_mb):
+    # the production ensemble's shape: the support is ~43 sites by ~6 modes
+    N = 256
+    psi = _random_field(800, N)
+    _, _, _, chi, mask = production_windows(N, disp_unpinned, 0.3, (0.15, 0.35), 8)[3]
+    assert traced_peak_mb(lambda: windowed_k_density(psi, chi, mask)) < 2.0
