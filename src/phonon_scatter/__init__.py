@@ -23,12 +23,12 @@ from .scattering import (Coefficients, ScatteringTable, build_table, coefficient
 from .dynamics import (ChainState, EnsembleNoise, ThermostatParams, Trajectory,
                        dump_snapshots, energy_balance_residual, load_snapshots,
                        p0_free, p0_volterra, psi_spectral_mild, run_direct,
-                       site_coordinates, state_from_wave_field, wave_field,
-                       wave_field_hat)
+                       run_vacuum_ensemble, site_coordinates, state_from_wave_field,
+                       wave_field, wave_field_hat)
 from .packets import (Envelope, WavePacketSpec, gibbs_ensemble, gibbs_state,
-                      init_rng, packet_energy_target, sample_initial)
+                      init_rng, sample_initial)
 from .wigner import (ProductionBin, ScatteringFractions, WignerEstimate,
-                     flat_top_mask, pair_test_function, production_profile,
+                     flat_top_mask, production_profile,
                      scattering_fractions, spatial_window, wavenumber_grid,
                      wigner_estimate, windowed_k_density)
 from .kinetics import (CosineBumpSquaredProfile, LimitSolution, SeparableInitialData,

@@ -26,11 +26,19 @@ the opening half-kick of the next share the same force, so between two
 steps where nothing observes the state they are applied as one full kick;
 they are split only where a record, a snapshot or the return needs the
 synchronised state.  All state arrays may carry leading batch axes, which
-is how ensembles are integrated: the harness hands each worker a row slice
-of the ensemble's output arrays, which it integrates in place.  Noise is
-drawn in blocks of _NOISE_BLOCK = 256 steps, 0.8 MB for 400 paths, each
-freed before the next is drawn, and the Philox streams make the draws
-independent of the block size.
+is how Gibbs-start and snapshotted ensembles are integrated: the harness
+hands each worker a row slice of the ensemble's output arrays, which it
+integrates in place.  Noise is drawn in blocks of _NOISE_BLOCK = 256 steps,
+0.8 MB for 400 paths, each freed before the next is drawn, and the Philox
+streams make the draws independent of the block size.
+
+An ensemble started at rest is never stepped.  The chain is linear and the
+noise enters additively at site 0, so each path's final state is its
+increments times the integrator's own impulse response g_j, the state j
+noise-free `run_direct` steps after one unit increment.
+`run_vacuum_ensemble` walks the noise forward block by block, regenerates
+the block's rows of g from checkpoints of one noise-free march, and adds
+one matrix product per block and tile of paths.
 
 The second, independent route (zero temperature only) evolves the wave
 field spectrally: the free momentum history at site 0 is convolved with the
@@ -56,6 +64,8 @@ _STABILITY_MARGIN = 0.5
 _NOISE_BLOCK = 256
 # rows per rfft/irfft pair in wave_field: a (64, N/2+1) spectrum at a time
 _WAVE_ROWS = 64
+# paths per matrix product in run_vacuum_ensemble: a (64, 2N) product at a time
+_PATH_TILE = 64
 
 
 @dataclass
@@ -268,6 +278,75 @@ def run_direct(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
     if record:
         traj.energies[n_steps] = energy()
     return traj
+
+
+def run_vacuum_ensemble(kernel: CouplingKernel, disp: DispersionRelation,
+                        params: ThermostatParams, N: int, dt: float, n_steps: int,
+                        n_paths: int, noise=None) -> tuple[np.ndarray, np.ndarray]:
+    """Final (p, q), each (n_paths, N), of rings started at rest and
+    advanced n_steps by `run_direct` with `noise`, without stepping them.
+
+    The chain is linear and the noise enters additively at site 0, so path
+    by path the state after n steps is x = sum_m dw_m g_{n-1-m}, where g_0
+    is one `run_direct` step from rest with a unit increment and g_j is j
+    further noise-free `run_direct` steps.  A first pass marches g and keeps
+    the rows g_{n-m1} that open each noise block [m0, m1); the second
+    regenerates each block's rows from its checkpoint, newest first, and
+    adds the block's increments times those rows to the paths, _PATH_TILE
+    paths per matrix product.  The working memory is one noise block, one
+    block of rows and one tile product beyond the result.
+
+    `noise` is an EnsembleNoise for n_paths paths (None unless gamma > 0
+    and T > 0, in which case the rings stay at rest).  The result agrees
+    with a batch `run_direct` on the same noise to rounding.
+    """
+    p_out, q_out = np.zeros((n_paths, N)), np.zeros((n_paths, N))
+    g_p, g_q = np.zeros(N), np.zeros(N)
+    needs_noise = params.gamma > 0.0 and params.temperature > 0.0
+    if needs_noise and not isinstance(noise, EnsembleNoise):
+        raise ConfigError("gamma > 0 and T > 0 require an EnsembleNoise source")
+    if noise is not None:
+        _check_noise(noise, dt, n_steps, (n_paths,))
+    # g_0; also checks dt, and the rings stay at rest when nothing drives them
+    run_direct(g_p, g_q, kernel, disp, params, dt, 1,
+               noise=np.ones(1) if needs_noise else None)
+    if not needs_noise:
+        return p_out, q_out
+    free = ThermostatParams(params.gamma, 0.0)
+    blocks = [(m0, min(m0 + _NOISE_BLOCK, n_steps))
+              for m0 in range(0, n_steps, _NOISE_BLOCK)]
+    checkpoints = {}
+    j = 0
+    for m0, m1 in reversed(blocks):
+        # from row j to row n - m1, the checkpoint of block [m0, m1)
+        run_direct(g_p, g_q, kernel, disp, free, dt, n_steps - m1 - j)
+        j = n_steps - m1
+        checkpoints[j] = (g_p.copy(), g_q.copy())
+
+    # rows[i] holds (p, q) of g_{n-1-m0-i}, the row that pairs with dw_{m0+i}
+    rows = np.empty((min(_NOISE_BLOCK, n_steps), 2 * N))
+    tile = np.empty((min(_PATH_TILE, n_paths), 2 * N))
+    for m0, m1 in blocks:
+        count = m1 - m0
+        i = count - 1
+        g_p, g_q = checkpoints.pop(n_steps - m1)
+        rows[i, :N], rows[i, N:] = g_p, g_q
+
+        def keep(p, q):
+            nonlocal i
+            i -= 1
+            rows[i, :N], rows[i, N:] = p, q
+
+        run_direct(g_p, g_q, kernel, disp, free, dt, count - 1,
+                   snapshot_every=1, snapshot_fn=keep)
+        dw = noise.block(count)
+        for a in range(0, n_paths, _PATH_TILE):
+            b = min(a + _PATH_TILE, n_paths)
+            prod = np.matmul(dw[:, a:b].T, rows[:count], out=tile[: b - a])
+            p_out[a:b] += prod[:, :N]
+            q_out[a:b] += prod[:, N:]
+        dw = None
+    return p_out, q_out
 
 
 def _check_noise(noise, dt: float, n_steps: int, batch: tuple) -> None:

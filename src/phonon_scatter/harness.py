@@ -27,15 +27,14 @@ import copy
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import (_STABILITY_MARGIN, EnsembleNoise, ThermostatParams,
-                       dump_snapshots, run_direct, site_coordinates, wave_field,
-                       wave_field_hat)
+                       dump_snapshots, run_direct, run_vacuum_ensemble,
+                       site_coordinates, wave_field, wave_field_hat)
 from .errors import ConfigError, InvalidRunError
 from .kinetics import (CosineBumpSquaredProfile, LimitSolution, SeparableInitialData,
                        boundary_residual, equilibrium_initial_data,
@@ -330,16 +329,25 @@ def run_thermal_ensemble(kernel, disp, params: ThermostatParams, N: int, dt: flo
                          n_steps: int, n_paths: int, seed0: int, threads: int = 1,
                          gibbs_temperature: float | None = None,
                          snapshot_every: int = 0, snapshot_fn=None):
-    """Integrate n_paths thermostatted chains, chunked across a worker pool.
+    """Integrate n_paths thermostatted chains.
 
-    Initial conditions are zero (vacuum) or Gibbs at `gibbs_temperature`;
-    path i draws its noise from the Philox key seed0 + i regardless of
-    chunking, and the initial-condition stream is disjoint from the noise
-    keys, so results do not depend on the thread count.  Each worker
-    integrates its chunk in place, in a row slice of the output arrays, so
-    no chunk is copied.  Returns the final (p, q) arrays, plus per-chunk
-    snapshot lists in path order.
+    Path i draws its noise from the Philox key seed0 + i, and the
+    initial-condition stream is disjoint from the noise keys.  An ensemble
+    that starts from vacuum and takes no snapshots is one
+    `run_vacuum_ensemble`: the paths' increments times the integrator's own
+    impulse response, so the batch is never stepped and `threads` is not
+    used.  A Gibbs start (at `gibbs_temperature`) or a `snapshot_fn` needs
+    every path's state along the way, so those ensembles are chunked across
+    a pool of `threads` workers, each integrating its chunk with
+    `run_direct` in place, in a row slice of the output arrays.  Results do
+    not depend on the thread count.  Returns the final (p, q) arrays, plus
+    per-chunk snapshot lists in path order.
     """
+    driven = params.gamma > 0 and params.temperature > 0
+    if gibbs_temperature is None and snapshot_fn is None:
+        noise = EnsembleNoise(seed0, n_paths, dt) if driven else None
+        p, q = run_vacuum_ensemble(kernel, disp, params, N, dt, n_steps, n_paths, noise)
+        return p, q, [[]]
     threads = max(1, int(threads))
     bounds = np.linspace(0, n_paths, threads + 1).astype(int)
     chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
@@ -351,8 +359,7 @@ def run_thermal_ensemble(kernel, disp, params: ThermostatParams, N: int, dt: flo
         p, q = p_out[a:b], q_out[a:b]
         if gibbs_temperature is not None:
             p[...], q[...] = gibbs_ensemble(N, disp, gibbs_temperature, seed0, range(a, b))
-        noise = EnsembleNoise(seed0 + a, b - a, dt) if (
-            params.gamma > 0 and params.temperature > 0) else None
+        noise = EnsembleNoise(seed0 + a, b - a, dt) if driven else None
         traj = run_direct(p, q, kernel, disp, params, dt, n_steps, noise=noise,
                           snapshot_every=snapshot_every, snapshot_fn=snapshot_fn)
         return [] if traj is None else traj.snapshots
@@ -360,6 +367,10 @@ def run_thermal_ensemble(kernel, disp, params: ThermostatParams, N: int, dt: flo
     if threads == 1:
         snaps = [work(c) for c in chunks]
     else:
+        # imported here: only these ensembles use a pool, and the import
+        # brings in logging, which no other experiment needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             snaps = list(pool.map(work, chunks))
     return p_out, q_out, snaps

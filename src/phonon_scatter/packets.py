@@ -109,11 +109,6 @@ def sample_initial(spec: WavePacketSpec, N: int, disp: DispersionRelation,
     return ChainState(N, p, q)
 
 
-def packet_energy_target(spec: WavePacketSpec) -> float:
-    """The macroscopic energy int |envelope|^2 dx the sampled state carries."""
-    return spec.envelope_obj().l2_squared()
-
-
 def gibbs_state(N: int, disp: DispersionRelation, temperature: float,
                 rng: np.random.Generator, batch: int | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:

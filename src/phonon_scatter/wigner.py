@@ -120,23 +120,6 @@ def wigner_estimate(psi_hat_samples: np.ndarray, eps: float,
                           values=values, stderr=stderr, n_samples=M)
 
 
-def pair_test_function(W: WignerEstimate, g_hat) -> complex:
-    """Discrete pairing sum_{eta,k} W_hat(eta,k) G_hat*(eta,k) * (2/N).
-
-    `g_hat` is either an (n_eta, N) array sampled on the estimate's grid or
-    a callable g_hat(eta, k) -> matrix.  The eta spacing is 2 and the k
-    weight 1/N, hence the 2/N quadrature weight.
-    """
-    N = W.k_grid.size
-    if callable(g_hat):
-        g = np.asarray(g_hat(W.eta, W.k_grid))
-    else:
-        g = np.asarray(g_hat)
-    if g.shape != W.values.shape:
-        raise ConfigError("test function sampled on the wrong grid")
-    return complex(np.sum(W.values * np.conj(g)) * 2.0 / N)
-
-
 def torus_distance(a, b) -> np.ndarray:
     d = np.abs(np.asarray(a) - b)
     return np.minimum(d, 1.0 - d)

@@ -6,8 +6,9 @@ from phonon_scatter import (ChainState, ConfigError, CouplingKernel,
                             DispersionRelation, EnsembleNoise, HorizonError,
                             MemoryKernel, ThermostatParams,
                             energy_balance_residual, nn_unpinned, p0_volterra,
-                            psi_spectral_mild, run_direct, site_coordinates,
-                            state_from_wave_field, wave_field, wave_field_hat)
+                            psi_spectral_mild, run_direct, run_vacuum_ensemble,
+                            site_coordinates, state_from_wave_field, wave_field,
+                            wave_field_hat)
 
 
 def _random_state(N, scale=0.1, seed=7):
@@ -307,6 +308,58 @@ def test_run_direct_working_memory(disp_unpinned, traced_peak_mb):
     assert traced_peak_mb(lambda: run_direct(p, q, nn_unpinned(), disp_unpinned,
                                              params, dt, 512, noise=noise)) < 2.8
     assert p.any()
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("n", [100, 300, 513])
+def test_vacuum_ensemble_matches_batch_run_direct(disp_unpinned, disp_pinned, pinned, n):
+    # 100 steps fill part of one noise block, 300 and 513 cross block edges
+    # and end inside a block; 70 paths are one full tile of 64 and a part
+    disp = disp_pinned if pinned else disp_unpinned
+    ker = disp.kernel
+    params = ThermostatParams(1.0, 0.7)
+    N, M, dt, seed = 64, 70, 0.05, 3
+    p, q = np.zeros((M, N)), np.zeros((M, N))
+    run_direct(p, q, ker, disp, params, dt, n, noise=EnsembleNoise(seed, M, dt))
+    pv, qv = run_vacuum_ensemble(ker, disp, params, N, dt, n, M,
+                                 EnsembleNoise(seed, M, dt))
+    scale = max(np.max(np.abs(p)), np.max(np.abs(q)))
+    assert scale > 0
+    assert _max_state_diff((pv, qv), (p, q)) <= 1e-12 * scale
+
+
+def test_vacuum_ensemble_noise_and_rest(disp_unpinned):
+    ker = nn_unpinned()
+    params = ThermostatParams(1.0, 0.5)
+    N, M, n, dt = 32, 3, 20, 0.05
+    for noise, named in ((None, "EnsembleNoise"), (np.zeros((n, M)), "EnsembleNoise"),
+                         (EnsembleNoise(1, 2, dt), "2 paths"),
+                         (EnsembleNoise(1, M, 0.5), "dt=0.5")):
+        with pytest.raises(ConfigError, match=named):
+            run_vacuum_ensemble(ker, disp_unpinned, params, N, dt, n, M, noise)
+    with pytest.raises(ConfigError, match="stability"):
+        run_vacuum_ensemble(ker, disp_unpinned, params, N, 0.3, n, M,
+                            EnsembleNoise(1, M, 0.3))
+    # nothing drives the rings without friction or temperature
+    for undriven in (ThermostatParams(1.0, 0.0), ThermostatParams(0.0, 0.5)):
+        p, q = run_vacuum_ensemble(ker, disp_unpinned, undriven, N, dt, n, M)
+        assert p.shape == q.shape == (M, N) and not p.any() and not q.any()
+
+
+def test_vacuum_ensemble_working_memory(disp_unpinned, traced_peak_mb):
+    # the benchmark's production ensemble: the result (3.3 MB), one noise
+    # block (1.6 MB), one block of response rows (1.0 MB) and one tile
+    # product (0.26 MB) measure 6.33 MB; every row of the response would be
+    # 7.9 MB and all of the noise 12.3 MB, and a second live noise block
+    # alone would pass 7 MB
+    N, M, n, dt = 256, 800, 1920, 0.04
+    params = ThermostatParams(1.0, 1.0)
+    # a first transform of length N sets up numpy's FFT plan: not counted
+    run_vacuum_ensemble(nn_unpinned(), disp_unpinned, params, N, dt, 2, 1,
+                        EnsembleNoise(0, 1, dt))
+    noise = EnsembleNoise(11, M, dt)
+    assert traced_peak_mb(lambda: run_vacuum_ensemble(
+        nn_unpinned(), disp_unpinned, params, N, dt, n, M, noise)) < 7.0
 
 
 def test_local_energy_conserved_until_interface(disp_unpinned):

@@ -172,6 +172,25 @@ def test_thermal_ensemble_in_place_matches_per_chunk_runs(gibbs):
         assert all(np.array_equal(x, y) for x, y in zip(traj.snapshots, snaps))
 
 
+def test_vacuum_ensemble_takes_the_impulse_response_at_any_thread_count():
+    # from vacuum with no snapshots the ensemble is one run_vacuum_ensemble,
+    # bit for bit, whatever the thread count
+    from phonon_scatter import (DispersionRelation, EnsembleNoise, ThermostatParams,
+                                nn_unpinned, run_vacuum_ensemble)
+    from phonon_scatter.harness import run_thermal_ensemble
+
+    ker = nn_unpinned()
+    disp = DispersionRelation(ker)
+    params = ThermostatParams(1.0, 0.5)
+    N, dt, n, M, seed = 32, 0.05, 300, 70, 11
+    p1, q1, _ = run_thermal_ensemble(ker, disp, params, N, dt, n, M, seed, threads=1)
+    p3, q3, _ = run_thermal_ensemble(ker, disp, params, N, dt, n, M, seed, threads=3)
+    pv, qv = run_vacuum_ensemble(ker, disp, params, N, dt, n, M,
+                                 EnsembleNoise(seed, M, dt))
+    for p, q in ((p3, q3), (pv, qv)):
+        assert np.array_equal(p1, p) and np.array_equal(q1, q)
+
+
 def test_scattering_state_dump(tmp_path):
     from phonon_scatter import load_snapshots
     cfg = {"experiment": "scattering", "kernel": "nn_unpinned", "gamma": 1.0,
@@ -335,6 +354,18 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_worker_pool_unloaded():
+    # only Gibbs-start and snapshotted ensembles use a pool, so the CLI does
+    # not load concurrent.futures, and the logging it imports, up front
+    src = str(Path(phonon_scatter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, phonon_scatter.cli; "
+            "print('concurrent.futures' in sys.modules, 'logging' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120, env=env)
+    assert out.stdout.strip() == "False False"
 
 
 def _package_nodes():

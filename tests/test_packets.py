@@ -3,9 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from phonon_scatter import (ConfigError, Envelope, WavePacketSpec, gibbs_ensemble,
-                            gibbs_state, init_rng, packet_energy_target,
-                            sample_initial, site_coordinates, state_from_wave_field,
-                            wave_field, wave_field_hat, wigner_estimate)
+                            gibbs_state, init_rng, sample_initial, site_coordinates,
+                            state_from_wave_field, wave_field, wave_field_hat,
+                            wigner_estimate)
 
 
 def test_envelope_profiles():
@@ -36,7 +36,8 @@ def test_packet_energy_normalization(disp_unpinned):
     spec = WavePacketSpec(x_center=-0.2, k_center=0.25, width=0.1)
     st = sample_initial(spec, N, disp_unpinned, rng=init_rng(1))
     e = np.sum(np.abs(wave_field(st.p, st.q, disp_unpinned)) ** 2) / N
-    assert abs(e - packet_energy_target(spec)) < 1e-6
+    # the macroscopic energy int |envelope|^2 dx the sampled state carries
+    assert abs(e - spec.envelope_obj().l2_squared()) < 1e-6
 
 
 def test_packet_momentum_support(disp_unpinned):

@@ -3,11 +3,20 @@ import pytest
 
 from phonon_scatter import (ConfigError, InvalidRunError, ThermostatParams,
                             WavePacketSpec, flat_top_mask, gibbs_state, init_rng,
-                            nn_unpinned, pair_test_function, run_direct,
+                            nn_unpinned, run_direct,
                             sample_initial, scattering_fractions, site_coordinates,
                             spatial_window, wave_field, wave_field_hat,
                             wavenumber_grid, wigner_estimate, windowed_k_density)
 from phonon_scatter.wigner import production_windows
+
+
+def pair_test_function(W, g_hat) -> complex:
+    """Discrete pairing sum_{eta,k} W_hat(eta,k) G_hat*(eta,k) * (2/N), with
+    g_hat(eta, k) -> matrix sampled on the estimate's grid.  The eta spacing
+    is 2 and the k weight 1/N, hence the 2/N quadrature weight."""
+    g = np.asarray(g_hat(W.eta, W.k_grid))
+    assert g.shape == W.values.shape
+    return complex(np.sum(W.values * np.conj(g)) * 2.0 / W.k_grid.size)
 
 
 def _packet_hat(disp, N, seed=1, **kw):
