@@ -8,7 +8,7 @@ beyond |x| = 0.1) should reproduce the macroscopic transmission /
 reflection / absorption probabilities of the coefficient table.  The
 leftover is exactly what the thermostat swallowed.
 
-Run:  python demos/03_packet_scattering.py        (~1 minute)
+Run:  python demos/03_packet_scattering.py        (~3 s on a 2-vCPU host)
 Output: demos/out/scattering_profile.csv + console table
 """
 

@@ -6,22 +6,21 @@ Exit codes:
 1  at least one check failed
 2  config rejected, with the failing precondition printed: ConfigError
    (including a config key that is unknown, missing or of the wrong type, a
-   count below 1, an empty list, a malformed explicit kernel) and
-   DomainError (a wavenumber in a singular zone, a time beyond a kernel
-   horizon)
+   count such as `threads` below 1, an empty list, a malformed explicit
+   kernel, a t_macro*N/dt that rounds to zero steps) and DomainError (a
+   wavenumber in a singular zone, a time beyond a kernel horizon)
 3  a validity guard flagged the run: InvalidRunError (for example the
    wraparound guard) and TableConstructionError
 
-Every typed error of the package maps to one of these codes.  The
-worker-pool size resolves as the PHONON_SCATTER_THREADS environment
-variable, then --threads, then the config value.
+Every typed error of the package maps to one of these codes.  --seed and
+--threads, when given, replace the config's `seed` and `threads` keys and
+are checked as those keys are.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -64,15 +63,7 @@ def main(argv=None) -> int:
     config["experiment"] = command
     if args.seed is not None:
         config["seed"] = args.seed
-    env_threads = os.environ.get("PHONON_SCATTER_THREADS")
-    if env_threads is not None:
-        try:
-            config["threads"] = int(env_threads)
-        except ValueError:
-            print(f"config rejected: PHONON_SCATTER_THREADS={env_threads!r} "
-                  "is not an integer", file=sys.stderr)
-            return 2
-    elif args.threads is not None:
+    if args.threads is not None:
         config["threads"] = args.threads
     outdir = args.out if args.out is not None else Path("out") / command
     try:

@@ -89,7 +89,7 @@ KEYS = {name: {**_COMMON, **keys} for name, keys in {
         "check_wavenumbers": ([float], [0.25, 0.3]),
         "transform_spots": ([[float, float, float]], [[1.0, 2.0, 0.25]])},
 }.items()}
-COUNTS = {"cross_oracle_stride", "paths", "n_bins", "records"}
+COUNTS = {"threads", "cross_oracle_stride", "paths", "n_bins", "records"}
 
 
 def _walk(experiment: str, keys: dict, config: dict, prefix: str = "",
@@ -204,7 +204,8 @@ def _table(cfg: dict, disp):
 
 
 def _n_steps(cfg: dict, disp, N) -> int:
-    """Validate N, dt and t_macro; return the step count t_macro*N/dt."""
+    """Validate N, dt and t_macro; return the step count t_macro*N/dt, which
+    must be at least 1."""
     _require(isinstance(N, int) and N > 0 and not (N & (N - 1)),
              "N must be a positive power of two")
     dt = cfg["dt"]
@@ -213,7 +214,10 @@ def _n_steps(cfg: dict, disp, N) -> int:
              f"dt*omega_max = {dt * disp.omega_max:.3f} violates the stability "
              f"margin {_STABILITY_MARGIN}")
     _require(cfg["t_macro"] > 0, "t_macro must be positive")
-    return int(round(cfg["t_macro"] * N / dt))
+    n_steps = int(round(cfg["t_macro"] * N / dt))
+    _require(n_steps >= 1, f"t_macro*N/dt = {cfg['t_macro'] * N / dt:.3g} rounds to "
+             f"zero steps at N={N}; raise t_macro or lower dt")
+    return n_steps
 
 
 # -- experiment: coefficients -------------------------------------------------
@@ -348,7 +352,6 @@ def run_thermal_ensemble(kernel, disp, params: ThermostatParams, N: int, dt: flo
         noise = EnsembleNoise(seed0, n_paths, dt) if driven else None
         p, q = run_vacuum_ensemble(kernel, disp, params, N, dt, n_steps, n_paths, noise)
         return p, q, [[]]
-    threads = max(1, int(threads))
     bounds = np.linspace(0, n_paths, threads + 1).astype(int)
     chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     p_out = np.zeros((n_paths, N))
@@ -397,6 +400,8 @@ def run_production(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> 
     p, q, _ = run_thermal_ensemble(kernel, disp, params, N, cfg["dt"], n_steps,
                                    M, cfg["seed"], threads=cfg["threads"])
     psi = wave_field(p, q, disp)
+    # the estimator reads only psi: release the ensemble before it allocates
+    del p, q
     bins, warnings = production_profile(psi, disp, table, T, cfg["t_macro"],
                                         k_band=tuple(cfg["k_band"]),
                                         n_bins=cfg["n_bins"],

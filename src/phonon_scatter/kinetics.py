@@ -26,8 +26,9 @@ In Laplace-Fourier variables (lambda in t, eta in x) the same solution reads
       + |v| p-(k) / (lambda + i omega' eta)
           * int W0_hat(eta', -k) / (lambda - i omega' eta') deta',
 
-with omega' eta = 2 pi v eta; both forms are implemented and can be checked
-against each other numerically.
+with omega' eta = 2 pi v eta.  `laplace_fourier_limit` evaluates this form,
+and `laplace_fourier_numeric` transforms `limit_wigner` by panel quadrature
+in t and x, so each is an oracle for the other.
 """
 
 from __future__ import annotations
@@ -40,6 +41,17 @@ import numpy as np
 from .errors import ConfigError, DomainError, SingularZoneError
 from .lattice import DispersionRelation, panel_integrate
 from .scattering import ScatteringTable
+
+# central-difference step of transport_residual
+_FD_STEP = 5e-5
+# laplace_fourier_numeric: the t range, the half-width of the advected
+# profile's support, and the panel widths in t, in the wedge variable s and
+# in the profile variable u
+_LF_T_MAX = 16.0
+_LF_SPAN = 1.5
+_LF_T_PANEL = 0.25
+_LF_S_PANEL = 1.0 / 32
+_LF_U_PANEL = 1.0 / 32
 
 
 class CosineBumpSquaredProfile:
@@ -191,9 +203,9 @@ def boundary_residual(sol: LimitSolution, t: float, k: float) -> float:
     return max(res_pos, res_neg)
 
 
-def transport_residual(sol: LimitSolution, t: float, x: float, k: float,
-                       h: float = 5e-5) -> float:
+def transport_residual(sol: LimitSolution, t: float, x: float, k: float) -> float:
     """Central-difference defect of d_t W + v d_x W = 0 away from x = 0."""
+    h = _FD_STEP
     if abs(x) <= 2 * h:
         raise DomainError("transport residual is an off-interface check")
     v = float(sol.disp.group_velocity(k))
@@ -239,52 +251,33 @@ def laplace_fourier_limit(sol: LimitSolution, lam: float, eta: float,
     return complex(term_prod + term_ball + term_trans + term_refl)
 
 
-def laplace_fourier_numeric(sol: LimitSolution, lam: float, eta: float, k: float,
-                            t_max: float = 16.0, ballistic_span: float = 1.5,
-                            h_x: float = 1e-3, n_t: int = 3200) -> complex:
+def laplace_fourier_numeric(sol: LimitSolution, lam: float, eta: float,
+                            k: float) -> complex:
     """Brute-force Laplace-in-t, Fourier-in-x transform of limit_wigner.
 
-    The solution is split as the smooth advected profile plus the wedge-
-    supported part (production/transmission/reflection); the latter is
-    integrated on a grid ending exactly at the wedge edges, so the indicator
-    jumps never cross a quadrature cell.  The e^{-lambda t_max} truncation
-    tail and the O(h^2) trapezoid errors sit below the 1e-3 consistency
-    tolerance at the defaults.
+    The solution splits into the advected profile W0(x - v t, k) and the
+    part on the wedge between 0 and v t.  The profile's x-transform is
+    e^{-2 pi i eta v t} times that of W0, one panel integral over its
+    co-moving support |u| <= _LF_SPAN.  The wedge is mapped to s in [0, 1]
+    by x = v t s, so the indicator jumps sit on panel ends at every t, and
+    the t and s integrals are one tensor product of Gauss-Legendre panels.
+    The e^{-lambda _LF_T_MAX} truncation tail bounds the error.
     """
     p_plus, p_minus, absorb = sol._coeffs(k)
     v = float(sol.disp.group_velocity(k))
-    gT = absorb * sol.temperature
+    w0_hat = panel_integrate(
+        lambda u: np.exp(-2j * np.pi * eta * u) * np.asarray(sol.w0(u, k), dtype=float),
+        -_LF_SPAN, _LF_SPAN, base=_LF_U_PANEL)
 
-    # grid for the advected profile, co-moving support assumed in
-    # [-ballistic_span, ballistic_span]
-    nb = int(np.ceil(2 * ballistic_span / h_x))
-    u_nodes = np.linspace(-ballistic_span, ballistic_span, nb + 1)
-    wu = np.full(nb + 1, 2 * ballistic_span / nb)
-    wu[0] *= 0.5
-    wu[-1] *= 0.5
-    w0_row = np.asarray(sol.w0(u_nodes, k), dtype=float)
-    # int e^{-2 pi i eta x} W0(x - vt) dx = e^{-2 pi i eta v t} * W0_hat(eta)
-    w0_hat_eta = np.dot(wu * np.exp(-2j * np.pi * eta * u_nodes), w0_row)
+    def wedge(t):
+        edge = v * t[:, None]
+        g = lambda s: np.exp(-2j * np.pi * eta * edge * s) * (
+            absorb * sol.temperature
+            + (p_plus - 1.0) * np.asarray(sol.w0(edge * (s - 1.0), k), dtype=float)
+            + p_minus * np.asarray(sol.w0(edge * (1.0 - s), -k), dtype=float))
+        return abs(v) * t * panel_integrate(g, 0.0, 1.0, base=_LF_S_PANEL)
 
-    t_nodes = np.linspace(0.0, t_max, n_t + 1)
-    wt = np.full(n_t + 1, t_max / n_t)
-    wt[0] *= 0.5
-    wt[-1] *= 0.5
-    acc = 0.0 + 0.0j
-    for t, w in zip(t_nodes, wt):
-        edge = v * t
-        ballistic = np.exp(-2j * np.pi * eta * edge) * w0_hat_eta
-        lo, hi = (0.0, edge) if v >= 0 else (edge, 0.0)
-        wedge = 0.0 + 0.0j
-        if hi - lo > 1e-14:
-            m = max(16, int(np.ceil((hi - lo) / h_x)))
-            xw = np.linspace(lo, hi, m + 1)
-            ww = np.full(m + 1, (hi - lo) / m)
-            ww[0] *= 0.5
-            ww[-1] *= 0.5
-            g_row = (gT
-                     + (p_plus - 1.0) * np.asarray(sol.w0(xw - edge, k), dtype=float)
-                     + p_minus * np.asarray(sol.w0(-xw + edge, -k), dtype=float))
-            wedge = np.dot(ww * np.exp(-2j * np.pi * eta * xw), g_row)
-        acc += w * np.exp(-lam * t) * (ballistic + wedge)
-    return complex(acc)
+    def laplace(t):
+        return np.exp(-lam * t) * (np.exp(-2j * np.pi * eta * v * t) * w0_hat + wedge(t))
+
+    return complex(panel_integrate(laplace, 0.0, _LF_T_MAX, base=_LF_T_PANEL))

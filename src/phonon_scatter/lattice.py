@@ -42,15 +42,17 @@ _GL_NODES, _GL_WEIGHTS = leggauss(16)
 # 256 cells leave a bracket of 0.5/256**6 ~ 1.8e-15 for the Newton polish
 _SECTION_POINTS = 257
 _SECTION_PASSES = 6
+# growth factor of the panel widths away from a hot endpoint
+_GRADING_RATIO = 1.6
 
 
 def _graded_edges(a: float, b: float, hot_a: bool, hot_b: bool,
-                 base: float, ratio: float = 1.6) -> np.ndarray:
+                 base: float) -> np.ndarray:
     """Panel edges on [a, b], geometrically refined toward hot endpoints.
 
-    Panels next to a hot endpoint start at width `base` and grow by `ratio`
-    up to the midpoint; with no hot endpoint the panels are uniform of width
-    `base`.
+    Panels next to a hot endpoint start at width `base` and grow by
+    _GRADING_RATIO up to the midpoint; with no hot endpoint the panels are
+    uniform of width `base`.
     """
     if b <= a:
         return np.array([a, b])
@@ -61,14 +63,14 @@ def _graded_edges(a: float, b: float, hot_a: bool, hot_b: bool,
         while s + h < length / 2:
             left.append(s + h)
             s += h
-            h *= ratio
+            h *= _GRADING_RATIO
     right: list[float] = []
     if hot_b:
         s, h = 0.0, min(base, length / 4)
         while s + h < length / 2:
             right.append(length - (s + h))
             s += h
-            h *= ratio
+            h *= _GRADING_RATIO
     interior = (np.arange(base, length, base)
                 if not (hot_a or hot_b) else np.empty(0))
     return np.unique(np.concatenate([
@@ -337,8 +339,8 @@ _PINNED_RE = re.compile(r"^nn_pinned\(\s*([0-9.eE+-]+)\s*\)$")
 def kernel_from_spec(spec) -> CouplingKernel:
     """Build a kernel from a preset name or an explicit (y, alpha_y) list.
 
-    Accepted forms: "nn_unpinned", "nn_pinned(m)", or
-    {"coefficients": [[y, alpha], ...], "decay_constant": C}.
+    Accepted forms: "nn_unpinned", "nn_pinned(m)", or an object with exactly
+    the keys of {"coefficients": [[y, alpha], ...], "decay_constant": C}.
     """
     if isinstance(spec, CouplingKernel):
         return spec
@@ -350,13 +352,10 @@ def kernel_from_spec(spec) -> CouplingKernel:
             return nn_pinned(float(m.group(1)))
         raise ConfigError(f"unknown kernel preset {spec!r}")
     if isinstance(spec, dict):
-        if "preset" in spec:
-            return kernel_from_spec(spec["preset"])
-        try:
-            pairs = spec["coefficients"]
-            decay = spec["decay_constant"]
-        except KeyError as exc:
-            raise ConfigError(f"kernel spec missing field {exc}") from exc
+        if set(spec) != {"coefficients", "decay_constant"}:
+            raise ConfigError("kernel spec must have exactly the keys 'coefficients' "
+                              f"and 'decay_constant', got {list(spec)}")
+        pairs, decay = spec["coefficients"], spec["decay_constant"]
         try:
             coefficients = {int(y): float(a) for y, a in pairs}
             decay = float(decay)

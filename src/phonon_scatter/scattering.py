@@ -56,6 +56,8 @@ _PV_PANELS = 8
 _PV_BLOCK = 32
 # |omega'| below which nu_pv refuses a wavenumber as inside the singular zone
 _VELOCITY_FLOOR = 1e-3
+# the decreasing eps > 0 at which nu_laplace_limit evaluates the resolvent
+_EPS_LADDER = (1e-2, 1e-3, 1e-4)
 
 
 def _resonant_wavenumber(k):
@@ -124,18 +126,16 @@ def nu_pv(disp: DispersionRelation, gamma: float, k):
     return complex(out[0]) if karr.ndim == 0 else out
 
 
-def nu_laplace_limit(disp: DispersionRelation, gamma: float, k: float,
-                     eps_list=(1e-2, 1e-3, 1e-4)) -> complex:
+def nu_laplace_limit(disp: DispersionRelation, gamma: float, k: float) -> complex:
     """Interface response as the extrapolated resolvent boundary value.
 
-    Evaluates g_tilde(eps - i omega(k)) for each eps and Richardson/Neville
-    extrapolates the sequence to eps = 0.  Independent oracle for nu_pv:
-    it never touches the principal-value machinery (no window, no fold);
-    it shares only the panel quadrature and the resonant wavenumber |k|.
+    Evaluates g_tilde(eps - i omega(k)) at each eps of _EPS_LADDER and
+    Richardson/Neville extrapolates the sequence to eps = 0.  Independent
+    oracle for nu_pv: it never touches the principal-value machinery (no
+    window, no fold); it shares only the panel quadrature and the resonant
+    wavenumber |k|.
     """
-    eps = np.asarray(eps_list, dtype=float)
-    if eps.ndim != 1 or eps.size < 1 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-        raise ConfigError("eps_list must be a decreasing list of positive reals")
+    eps = np.array(_EPS_LADDER)
     if gamma == 0.0:
         return 1.0 + 0.0j
     l0 = _resonant_wavenumber(float(k))
@@ -144,9 +144,8 @@ def nu_laplace_limit(disp: DispersionRelation, gamma: float, k: float,
     vals = 1.0 / (1.0 + gamma * jt)
     # Neville tableau at eps = 0
     tab = vals.astype(complex)
-    x = eps.copy()
     for m in range(1, eps.size):
-        tab = (x[m:] * tab[:-1] - x[: eps.size - m] * tab[1:]) / (x[m:] - x[: eps.size - m])
+        tab = (eps[m:] * tab[:-1] - eps[:-m] * tab[1:]) / (eps[m:] - eps[:-m])
     return complex(tab[0])
 
 
@@ -229,9 +228,9 @@ class ScatteringTable:
     def absorb_at(self, k):
         return self._interp(self.absorb, k)
 
-    def covers(self, k, margin: float = 0.0) -> bool:
+    def covers(self, k) -> bool:
         pos = self.k_grid[self.k_grid > 0]
-        return bool(pos.min() + margin <= abs(k) <= pos.max() - margin)
+        return bool(pos.min() <= abs(k) <= pos.max())
 
 
 def table_grid(disp: DispersionRelation, n_k: int, delta_excl: float) -> np.ndarray:

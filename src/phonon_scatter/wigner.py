@@ -29,6 +29,9 @@ from .dynamics import site_coordinates
 
 # energy fraction allowed to remain inside the interface window
 _INTERFACE_TOLERANCE = 0.01
+# a production bin's window covers x in [_WEDGE[0] v t, _WEDGE[1] v t]: the
+# wedge with its ends, near the interface and near the front, left out
+_WEDGE = (0.1, 0.9)
 
 
 @dataclass(frozen=True)
@@ -247,12 +250,12 @@ def windowed_k_density(psi_samples: np.ndarray, chi: np.ndarray,
 
 
 def production_windows(N: int, disp: DispersionRelation, t_macro: float,
-                       k_band: tuple[float, float] = (0.15, 0.35), n_bins: int = 8,
-                       wedge: tuple[float, float] = (0.1, 0.9)) -> list[tuple]:
+                       k_band: tuple[float, float] = (0.15, 0.35),
+                       n_bins: int = 8) -> list[tuple]:
     """The k-bins of a production profile with their windows on an N ring.
 
     Bin b spans [lo, hi] of k_band cut into n_bins; its spatial window chi
-    covers the wedge x in [wedge_lo * v t, wedge_hi * v t], v the group
+    covers the wedge x in [_WEDGE[0] v t, _WEDGE[1] v t], v the group
     velocity at the bin center, and its k mask is a flat-top around the
     center.  Returns (lo, hi, mid, chi, mask) per bin.  A bin whose mask
     holds no k node, or whose window holds no site, would read 0/0: it
@@ -271,7 +274,7 @@ def production_windows(N: int, disp: DispersionRelation, t_macro: float,
                 f"a k node of the N={N} grid (spacing {1.0 / N:.5f}); use fewer bins "
                 f"or a larger N")
         v = abs(disp.group_velocity(mid))
-        x_lo, x_hi = wedge[0] * v * t_macro, wedge[1] * v * t_macro
+        x_lo, x_hi = _WEDGE[0] * v * t_macro, _WEDGE[1] * v * t_macro
         taper = 0.15 * (x_hi - x_lo)
         chi = spatial_window(x, x_lo, x_hi, taper)
         if not np.any(chi > 0):
@@ -286,8 +289,8 @@ def production_windows(N: int, disp: DispersionRelation, t_macro: float,
 def production_profile(psi_samples: np.ndarray, disp: DispersionRelation,
                        table: ScatteringTable, temperature: float,
                        t_macro: float, k_band: tuple[float, float] = (0.15, 0.35),
-                       n_bins: int = 8, wedge: tuple[float, float] = (0.1, 0.9),
-                       min_samples: int = 1000) -> tuple[list[ProductionBin], list[str]]:
+                       n_bins: int = 8, min_samples: int = 1000
+                       ) -> tuple[list[ProductionBin], list[str]]:
     """Wedge-averaged Wigner density per k-bin against the production target.
 
     For each bin of `production_windows` the estimate on its wedge is
@@ -299,8 +302,7 @@ def production_profile(psi_samples: np.ndarray, disp: DispersionRelation,
     if M < min_samples:
         warnings.append(f"ensemble of {M} paths below the target {min_samples}")
     bins: list[ProductionBin] = []
-    for lo, hi, mid, chi, mask in production_windows(N, disp, t_macro, k_band,
-                                                       n_bins, wedge):
+    for lo, hi, mid, chi, mask in production_windows(N, disp, t_macro, k_band, n_bins):
         est, se = windowed_k_density(psi_samples, chi, mask)
         sel = (table.k_grid >= lo) & (table.k_grid <= hi)
         pred = float(np.mean(table.absorb[sel])) * temperature if sel.any() else float(

@@ -222,7 +222,7 @@ def test_transport_check_passes(tmp_path):
     assert rep.passed
 
 
-def test_cli_exit_codes(tmp_path, monkeypatch):
+def test_cli_exit_codes(tmp_path):
     good = _write_cfg(tmp_path, "good.json",
                       {"kernel": "nn_unpinned", "gamma": 1.0,
                        "table": BASE_TABLE, "cross_oracle_stride": 16})
@@ -242,19 +242,6 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "o3")]) == 3
     assert cli_main(["scattering", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "o4")]) == 2
-    # env var overrides the thread count
-    monkeypatch.setenv("PHONON_SCATTER_THREADS", "2")
-    assert cli_main(["coefficients", "--config", str(good),
-                     "--out", str(tmp_path / "o5")]) == 0
-
-
-def test_cli_rejects_non_integer_thread_env(tmp_path, monkeypatch, capsys):
-    good = _write_cfg(tmp_path, "good.json",
-                      {"kernel": "nn_unpinned", "gamma": 1.0, "table": BASE_TABLE})
-    monkeypatch.setenv("PHONON_SCATTER_THREADS", "abc")
-    assert cli_main(["coefficients", "--config", str(good),
-                     "--out", str(tmp_path / "o")]) == 2
-    assert "config rejected" in capsys.readouterr().err
 
 
 SCATTER_NO_PACKET = {"kernel": "nn_unpinned", "gamma": 1.0, "temperature": 0.0,
@@ -313,6 +300,20 @@ PRODUCTION = {"temperature": 1.0, "N": 128, "dt": 0.05, "t_macro": 0.25,
     # an explicit kernel whose coefficients are not numbers
     ("coefficients", {"kernel": {"coefficients": [["a", 1]], "decay_constant": 3},
                       "table": BASE_TABLE}, ["kernel spec", "'coefficients'"]),
+    # an explicit kernel carries exactly its two keys
+    ("coefficients", {"kernel": {"coefficients": [[0, 2], [1, -1]], "decay_constant": 3,
+                                 "typo": 1}, "table": BASE_TABLE},
+     ["kernel spec", "'typo'"]),
+    ("coefficients", {"kernel": {"preset": "nn_unpinned"}, "table": BASE_TABLE},
+     ["kernel spec", "'preset'"]),
+    ("production", {**PRODUCTION, "threads": 0}, ["production", "'threads'"]),
+    # t_macro*N/dt rounds to zero steps, so the run would integrate nothing
+    ("scattering", {**SCATTER_NO_PACKET, "packet": PACKET, "t_macro": 1e-5},
+     ["zero steps"]),
+    ("convergence", {**SCATTER_NO_PACKET, "packet": PACKET, "t_macro": 1e-5},
+     ["zero steps"]),
+    ("equilibrium", {**PRODUCTION, "t_macro": 1e-5}, ["zero steps"]),
+    ("production", {**PRODUCTION, "t_macro": 1e-5}, ["zero steps"]),
 ])
 def test_cli_rejects_config_with_exit_2(tmp_path, capsys, command, cfg, named):
     path = _write_cfg(tmp_path, "cfg.json", cfg)
@@ -344,6 +345,14 @@ def test_cli_rejects_production_bins_that_see_nothing(tmp_path, capsys, monkeypa
     assert err.startswith("config rejected: ") and "Traceback" not in err
     for word in named:
         assert word in err
+
+
+def test_cli_rejects_zero_threads_flag(tmp_path, capsys):
+    path = _write_cfg(tmp_path, "cfg.json", PRODUCTION)
+    assert cli_main(["production", "--config", str(path), "--threads", "0",
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config rejected: ") and "'threads'" in err
 
 
 def test_cli_import_leaves_scipy_unloaded():

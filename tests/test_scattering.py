@@ -119,13 +119,6 @@ def test_evenness_both_routes(disp_unpinned):
                    - nu_laplace_limit(disp_unpinned, 1.0, -k)) < 1e-10
 
 
-def test_eps_list_validation(disp_unpinned):
-    with pytest.raises(ConfigError):
-        nu_laplace_limit(disp_unpinned, 1.0, 0.25, eps_list=(1e-3, 1e-2))
-    with pytest.raises(ConfigError):
-        nu_laplace_limit(disp_unpinned, 1.0, 0.25, eps_list=(1e-2, -1e-3))
-
-
 def test_table_identities_and_bounds(table_unpinned_g1):
     tab = table_unpinned_g1
     assert tab.max_sum_residual < 1e-8
