@@ -332,7 +332,7 @@ def run_scattering(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> 
 def run_thermal_ensemble(kernel, disp, params: ThermostatParams, N: int, dt: float,
                          n_steps: int, n_paths: int, seed0: int, threads: int = 1,
                          gibbs_temperature: float | None = None,
-                         snapshot_every: int = 0, snapshot_fn=None):
+                         snapshot_every: int = 0, snapshot_fn=None, out=None):
     """Integrate n_paths thermostatted chains.
 
     Path i draws its noise from the Philox key seed0 + i, and the
@@ -345,17 +345,23 @@ def run_thermal_ensemble(kernel, disp, params: ThermostatParams, N: int, dt: flo
     a pool of `threads` workers, each integrating its chunk with
     `run_direct` in place, in a row slice of the output arrays.  Results do
     not depend on the thread count.  Returns the final (p, q) arrays, plus
-    per-chunk snapshot lists in path order.
+    per-chunk snapshot lists in path order.  With `out`, a C-contiguous
+    complex (n_paths, N) array, the state is written there as q + ip and
+    p, q are its .imag and .real views, ready for an in-place `wave_field`.
     """
     driven = params.gamma > 0 and params.temperature > 0
     if gibbs_temperature is None and snapshot_fn is None:
         noise = EnsembleNoise(seed0, n_paths, dt) if driven else None
-        p, q = run_vacuum_ensemble(kernel, disp, params, N, dt, n_steps, n_paths, noise)
+        p, q = run_vacuum_ensemble(kernel, disp, params, N, dt, n_steps, n_paths, noise,
+                                   out=out)
         return p, q, [[]]
     bounds = np.linspace(0, n_paths, threads + 1).astype(int)
     chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    p_out = np.zeros((n_paths, N))
-    q_out = np.zeros((n_paths, N))
+    if out is None:
+        p_out, q_out = np.zeros((n_paths, N)), np.zeros((n_paths, N))
+    else:
+        out.fill(0.0)
+        p_out, q_out = out.imag, out.real
 
     def work(bounds_pair):
         a, b = bounds_pair
@@ -397,11 +403,12 @@ def run_production(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> 
     M = cfg["ensemble"]["paths"]
     table = _table(cfg, disp)
     params = ThermostatParams(cfg["gamma"], T)
+    # the ensemble accumulates in psi's storage as q + ip, and becomes
+    # psi = Omega q + ip in place: one (M, N) complex array for both
+    psi = np.empty((M, N), dtype=complex)
     p, q, _ = run_thermal_ensemble(kernel, disp, params, N, cfg["dt"], n_steps,
-                                   M, cfg["seed"], threads=cfg["threads"])
-    psi = wave_field(p, q, disp)
-    # the estimator reads only psi: release the ensemble before it allocates
-    del p, q
+                                   M, cfg["seed"], threads=cfg["threads"], out=psi)
+    wave_field(p, q, disp, out=psi)
     bins, warnings = production_profile(psi, disp, table, T, cfg["t_macro"],
                                         k_band=tuple(cfg["k_band"]),
                                         n_bins=cfg["n_bins"],

@@ -29,7 +29,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, DomainError
 
@@ -37,7 +36,17 @@ VALIDATION_GRID = 10_000
 VALIDATION_TOL = 1e-12
 # below this |k| the acoustic derivative uses its one-sided limit
 _ACOUSTIC_K_SWITCH = 1e-7
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
+# 16-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(16) to the bit:
+# its nodes are odd and its weights even, so the upper half fixes both, and
+# numpy.polynomial stays off the import path
+_GL_HALF_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                  0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                  0.9445750230732326, 0.9894009349916499)
+_GL_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                    0.062253523938647456, 0.027152459411754176)
+_GL_NODES = np.concatenate([-np.array(_GL_HALF_NODES[::-1]), _GL_HALF_NODES])
+_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
 # inverse_branch: points per multisection pass, and passes; six passes of
 # 256 cells leave a bracket of 0.5/256**6 ~ 1.8e-15 for the Newton polish
 _SECTION_POINTS = 257

@@ -1,0 +1,18 @@
+"""Every demo runs end to end, writing into a temporary directory."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(path, tmp_path):
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.OUT = tmp_path / "out"
+    demo.main()
+    assert any(demo.OUT.iterdir())

@@ -32,6 +32,24 @@ def test_noise_reproducible_and_normal():
     assert kstest(draws, "norm").pvalue > 0.01
 
 
+def test_noise_drawn_per_path_tile_equals_whole_blocks():
+    # 70 paths are one tile of 64 and a part, and 300 steps are one block
+    # of 256 and a part: tile draws into one reused buffer give the bits
+    # of each whole block's columns, and leave every stream where it was
+    dt, M, n = 0.04, 70, 300
+    whole, tiled = EnsembleNoise(5, M, dt), EnsembleNoise(5, M, dt)
+    buf = np.full((256, 64), np.nan)
+    for m0 in range(0, n, 256):
+        count = min(256, n - m0)
+        ref = whole.block(count)
+        for a in range(0, M, 64):
+            b = min(a + 64, M)
+            got = tiled.block(count, (a, b), out=buf[:count, : b - a])
+            assert np.shares_memory(got, buf)
+            assert np.array_equal(got, ref[:, a:b])
+    assert np.array_equal(whole.block(3), tiled.block(3))
+
+
 def test_ensemble_noise_per_path_keys():
     ens = EnsembleNoise(100, 3, 0.01)
     block = ens.block(50)
@@ -286,6 +304,20 @@ def test_wave_field_matches_the_inverse_of_its_dft(disp_unpinned, disp_pinned,
     assert np.array_equal(psi.imag, p)
 
 
+@pytest.mark.parametrize("shape", [(128,), (130, 64)])
+def test_wave_field_in_place_equals_a_new_field(disp_unpinned, traced_peak_mb, shape):
+    # psi built over q + ip itself, 64 rows at a time (130 rows cross two
+    # tile edges), carries the bits of a newly allocated psi
+    rng = np.random.default_rng(4)
+    p, q = rng.standard_normal(shape), rng.standard_normal(shape)
+    ref = wave_field(p, q, disp_unpinned)
+    psi = q + 1j * p
+    mb = traced_peak_mb(lambda: wave_field(psi.imag, psi.real, disp_unpinned, out=psi))
+    assert np.array_equal(psi, ref)
+    # nothing shaped like the state: at most one 64-row spectrum
+    assert mb < 0.1
+
+
 def test_wave_field_working_memory(disp_unpinned, traced_peak_mb):
     # the result (3.3 MB) plus one spectrum of a few rows; the whole
     # (800, 129) spectrum would add 1.7 MB
@@ -347,11 +379,10 @@ def test_vacuum_ensemble_noise_and_rest(disp_unpinned):
 
 
 def test_vacuum_ensemble_working_memory(disp_unpinned, traced_peak_mb):
-    # the benchmark's production ensemble: the result (3.3 MB), one noise
-    # block (1.6 MB), one block of response rows (1.0 MB) and one tile
-    # product (0.26 MB) measure 6.33 MB; every row of the response would be
-    # 7.9 MB and all of the noise 12.3 MB, and a second live noise block
-    # alone would pass 7 MB
+    # the benchmark's production ensemble: the result (3.3 MB), one block
+    # of response rows (1.0 MB), one tile product (0.26 MB) and one tile of
+    # noise (0.13 MB) measure 4.7 MB; every row of the response would be
+    # 7.9 MB and all of the noise 12.3 MB
     N, M, n, dt = 256, 800, 1920, 0.04
     params = ThermostatParams(1.0, 1.0)
     # a first transform of length N sets up numpy's FFT plan: not counted

@@ -127,6 +127,19 @@ def test_snapshot_dump_roundtrip(tmp_path):
     assert path.stat().st_size == 3 * 32 * 2 * 8
 
 
+def test_snapshot_load_refuses_a_file_its_sidecar_does_not_describe(tmp_path):
+    from phonon_scatter import dump_snapshots, load_snapshots
+    rng = np.random.default_rng(0)
+    path = tmp_path / "traj.bin"
+    dump_snapshots(path, [(rng.standard_normal(32), rng.standard_normal(32))] * 2,
+                   dt=0.01, times=[1.0, 2.0], seed=42, kernel_name="nn_unpinned")
+    blob = path.read_bytes()
+    for damaged in (blob[:-8], blob + bytes(4)):
+        path.write_bytes(damaged)
+        with pytest.raises(ConfigError, match="2 snapshots of N=32"):
+            load_snapshots(path)
+
+
 def test_snapshot_dump_refuses_an_empty_list(tmp_path):
     from phonon_scatter import dump_snapshots
     with pytest.raises(ConfigError, match="at least one snapshot"):
@@ -157,6 +170,13 @@ def test_thermal_ensemble_in_place_matches_per_chunk_runs(gibbs):
     p1, q1, s1 = ensemble(1)
     p3, q3, s3 = ensemble(3)
     assert np.array_equal(p1, p3) and np.array_equal(q1, q3)
+    # the state written into complex storage, q + ip, carries the same bits
+    psi = np.full((M, N), np.nan, dtype=complex)
+    p, q, _ = run_thermal_ensemble(ker, disp, params, N, dt, n, M, seed, threads=3,
+                                   gibbs_temperature=gibbs, snapshot_every=100,
+                                   snapshot_fn=lambda p, q: p.copy(), out=psi)
+    assert np.array_equal(psi.imag, p1) and np.array_equal(psi.real, q1)
+    assert np.shares_memory(p, psi) and np.shares_memory(q, psi)
     assert np.array_equal(np.concatenate(s1[0], axis=1),
                           np.concatenate([np.concatenate(s, axis=1) for s in s3]))
     for (a, b), snaps in zip([(0, 2), (2, 4), (4, 7)], s3):
@@ -187,8 +207,37 @@ def test_vacuum_ensemble_takes_the_impulse_response_at_any_thread_count():
     p3, q3, _ = run_thermal_ensemble(ker, disp, params, N, dt, n, M, seed, threads=3)
     pv, qv = run_vacuum_ensemble(ker, disp, params, N, dt, n, M,
                                  EnsembleNoise(seed, M, dt))
-    for p, q in ((p3, q3), (pv, qv)):
+    psi = np.full((M, N), np.nan, dtype=complex)
+    run_thermal_ensemble(ker, disp, params, N, dt, n, M, seed, out=psi)
+    for p, q in ((p3, q3), (pv, qv), (psi.imag, psi.real)):
         assert np.array_equal(p1, p) and np.array_equal(q1, q)
+
+
+def test_production_ensemble_and_wave_field_share_one_array(traced_peak_mb):
+    # the benchmark's production route: 800 paths on 256 sites accumulate
+    # in psi's storage (3.3 MB) and become psi in place.  It measures 5.4 MB:
+    # that array, one block of response rows (1.0 MB), one tile product
+    # (0.26 MB), one tile of noise (0.13 MB) and the paths' generators.
+    # Separate (p, q) with a new psi measure 6.8 MB, and a whole 800-path
+    # noise block would add 1.5 MB.
+    from phonon_scatter import (DispersionRelation, EnsembleNoise, ThermostatParams,
+                                nn_unpinned, run_vacuum_ensemble, wave_field)
+    from phonon_scatter.harness import run_thermal_ensemble
+
+    ker = nn_unpinned()
+    disp = DispersionRelation(ker)
+    params = ThermostatParams(1.0, 1.0)
+    N, M, dt, n = 256, 800, 0.04, 1920
+    # a first transform of length N sets up numpy's FFT plan: not counted
+    run_vacuum_ensemble(ker, disp, params, N, dt, 2, 1, EnsembleNoise(0, 1, dt))
+
+    def production_field():
+        psi = np.empty((M, N), dtype=complex)
+        p, q, _ = run_thermal_ensemble(ker, disp, params, N, dt, n, M, 1, threads=2,
+                                       out=psi)
+        wave_field(p, q, disp, out=psi)
+
+    assert traced_peak_mb(production_field) < 5.6
 
 
 def test_scattering_state_dump(tmp_path):
@@ -367,14 +416,16 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def test_cli_import_leaves_the_worker_pool_unloaded():
     # only Gibbs-start and snapshotted ensembles use a pool, so the CLI does
-    # not load concurrent.futures, and the logging it imports, up front
+    # not load concurrent.futures, and the logging it imports, up front; the
+    # Gauss-Legendre rule is a literal table, so numpy.polynomial stays out
     src = str(Path(phonon_scatter.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, phonon_scatter.cli; "
-            "print('concurrent.futures' in sys.modules, 'logging' in sys.modules)")
+            "print(*(m in sys.modules for m in "
+            "('concurrent.futures', 'logging', 'numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120, env=env)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
 
 
 def _package_nodes():

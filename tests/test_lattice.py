@@ -4,7 +4,13 @@ import pytest
 from phonon_scatter import (ConfigError, CouplingKernel, DispersionRelation,
                             DomainError, hat_alpha, kernel_from_spec, nn_pinned,
                             nn_unpinned)
-from phonon_scatter.lattice import _hat_alpha_prime
+from phonon_scatter.lattice import _GL_NODES, _GL_WEIGHTS, _hat_alpha_prime
+
+
+def test_gauss_legendre_table_is_numpys_rule_to_the_bit():
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = leggauss(16)
+    assert np.array_equal(_GL_NODES, nodes) and np.array_equal(_GL_WEIGHTS, weights)
 
 
 def test_hat_alpha_nearest_neighbour_values():
