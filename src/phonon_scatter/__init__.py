@@ -6,7 +6,8 @@ Layers, from the lattice up:
               graded Gauss-Legendre panel quadrature
 * memory      thermostat memory function J, resolvent density, phase integral
 * scattering  interface response nu(k), transmission/reflection/absorption
-* dynamics    splitting integrator and the spectral mild solution
+* dynamics    splitting integrator, its zero-temperature law in closed form
+              and the spectral mild solution
 * packets     wave-packet and Gibbs initial measures
 * wigner      Wigner estimator, pairings, energy bookkeeping
 * kinetics    closed-form macroscopic limit and its transforms
@@ -23,8 +24,8 @@ from .scattering import (Coefficients, ScatteringTable, build_table, coefficient
 from .dynamics import (ChainState, EnsembleNoise, ThermostatParams, Trajectory,
                        dump_snapshots, energy_balance_residual, load_snapshots,
                        p0_free, p0_volterra, psi_spectral_mild, run_direct,
-                       run_vacuum_ensemble, site_coordinates, state_from_wave_field,
-                       wave_field, wave_field_hat)
+                       run_vacuum_ensemble, run_zero_temperature, site_coordinates,
+                       state_from_wave_field, wave_field, wave_field_hat)
 from .packets import (Envelope, WavePacketSpec, gibbs_ensemble, gibbs_state,
                       init_rng, sample_initial)
 from .wigner import (ProductionBin, ScatteringFractions, WignerEstimate,

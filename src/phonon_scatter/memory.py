@@ -21,10 +21,12 @@ left half of a block is solved first and its whole contribution to the
 right half is added by one FFT convolution, so n steps cost O(n log^2 n)
 instead of O(n^2).  Every short block (leaf) solves the same
 lower-triangular Toeplitz system, whose inverse is lower-triangular
-Toeplitz too: its first column is marched once per kernel, and each leaf
-is then one matrix-vector product with that inverse.  The equations solved
-are the step loop's; only the order of the arithmetic differs, so the
-density agrees with the step loop to round-off, not bitwise.
+Toeplitz too: its first column is marched once per kernel
+(`_leaf_inverse`, which the dynamics module's zero-temperature route
+shares), and each leaf is then one matrix-vector product with that
+inverse.  The equations solved are the step loop's; only the order of the
+arithmetic differs, so the density agrees with the step loop to round-off,
+not bitwise.
 
 J is sampled on a uniform grid m dt, m = 0..n, by block phase rotation
 (`_block_rotation`): with B ~ sqrt(n+1) and m = bB + r the phase
@@ -73,6 +75,19 @@ def _uniform_grid(t) -> tuple[float, int]:
     return dt, n
 
 
+def _unit_phases(a: np.ndarray, b: np.ndarray, sign: int) -> np.ndarray:
+    """e^{sign i a_m b_n} as a complex (a.size, b.size) array, bitwise what
+    np.exp(sign * 1j * np.multiply.outer(a, b)) gives.  The phases are
+    written into the imaginary part of the result and exponentiated in
+    place, so the table is the only array held, where that expression
+    holds a float and two complex tables at once."""
+    out = np.zeros((a.size, b.size), dtype=complex)
+    np.multiply.outer(a, b, out=out.imag)
+    if sign < 0:
+        np.negative(out.imag, out=out.imag)
+    return np.exp(out, out=out)
+
+
 def _block_rotation(om, dt: float, n: int, c, transpose: bool = False) -> np.ndarray:
     """Phase sums on the grid m dt, m = 0..n, by block phase rotation.
 
@@ -98,9 +113,9 @@ def _block_rotation(om, dt: float, n: int, c, transpose: bool = False) -> np.nda
         acc = np.zeros((nb, B), dtype=complex)
         for s in range(0, om.size, chunk):
             w = om[s : s + chunk]
-            outer = np.exp(-1j * np.multiply.outer(outer_t, w))
+            outer = _unit_phases(outer_t, w, -1)
             outer *= c[s : s + chunk]
-            acc += outer @ np.exp(-1j * np.multiply.outer(w, inner_t))
+            acc += outer @ _unit_phases(w, inner_t, -1)
         return acc.reshape(-1)[: n + 1]
     blocks = np.zeros(nb * B, dtype=complex)
     blocks[: n + 1] = c
@@ -108,8 +123,8 @@ def _block_rotation(om, dt: float, n: int, c, transpose: bool = False) -> np.nda
     out = np.empty(om.size, dtype=complex)
     for s in range(0, om.size, chunk):
         w = om[s : s + chunk]
-        outer = np.exp(1j * np.multiply.outer(outer_t, w))
-        outer *= blocks @ np.exp(1j * np.multiply.outer(inner_t, w))
+        outer = _unit_phases(outer_t, w, 1)
+        outer *= blocks @ _unit_phases(inner_t, w, 1)
         np.sum(outer, axis=0, out=out[s : s + chunk])
     return out
 
@@ -218,10 +233,8 @@ class MemoryKernel:
 
         A block [a, hi) of at most _MARCH_LEAF steps, with the history from
         before a already in h, is the lower-triangular Toeplitz system
-        (diag I + gamma dt L) g = r, L[m, i] = J_{m-i} for i < m.  Its
-        inverse is lower-triangular Toeplitz with first column x, the step
-        loop's answer to a unit impulse.  x is marched once, the inverse
-        matrix is a strided view of it, and each leaf is one matvec.
+        (diag I + gamma dt L) g = r, L[m, i] = J_{m-i} for i < m, whose
+        inverse `_leaf_inverse` builds once; each leaf is one matvec.
         """
         n = j.size
         g = np.zeros(n)
@@ -230,15 +243,7 @@ class MemoryKernel:
             return g
         diag = 1.0 + 0.5 * gamma * dt * j[0]
         hist = 0.5 * j * g[0]
-        x = np.zeros(min(_MARCH_LEAF, n))
-        x[0] = 1.0 / diag
-        for m in range(1, x.size):
-            x[m] = -gamma * dt * np.dot(j[m:0:-1], x[:m]) / diag
-        # row m of the inverse is x[m], x[m-1], ..., x[0], 0, ...: a window
-        # sliding backwards over x reversed and zero-padded, kept as a view
-        # so the matrix costs 2 _MARCH_LEAF floats, not _MARCH_LEAF^2
-        padded = np.concatenate([x[::-1], np.zeros(x.size - 1)])
-        inverse = np.lib.stride_tricks.sliding_window_view(padded, x.size)[::-1]
+        inverse = _leaf_inverse(j, -gamma * dt, diag, min(_MARCH_LEAF, n))
 
         def solve(a: int, hi: int) -> None:
             if hi - a <= _MARCH_LEAF:
@@ -304,7 +309,7 @@ class MemoryKernel:
         chunk = max(1, _PHASE_CHUNK // self.t_grid.size)
         for s in range(0, karr.size, chunk):
             om = np.asarray(self.disp.omega(karr[s : s + chunk]))
-            f = np.exp(1j * np.multiply.outer(om, self.t_grid))
+            f = _unit_phases(om, self.t_grid, 1)
             f *= self.gstar_samples
             # each chunk's cumulative trapezoid is built in its rows of out
             rows = out[s : s + chunk]
@@ -316,6 +321,26 @@ class MemoryKernel:
             np.cumsum(tail, axis=1, out=tail)
             rows += 1.0
         return out
+
+
+def _leaf_inverse(kern: np.ndarray, scale: float, diag: float, size: int) -> np.ndarray:
+    """Inverse of the size x size lower-triangular Toeplitz system with
+    diagonal `diag` and entry -scale kern[m - i] at row m, column i < m.
+
+    The inverse is lower-triangular Toeplitz too, with first column x, the
+    step loop's answer to a unit impulse: x_0 = 1/diag and
+    x_m = scale sum_{0<i<=m} kern[i] x_{m-i} / diag.  Row m of the inverse
+    is x_m, x_{m-1}, ..., x_0, 0, ...: a window sliding backwards over x
+    reversed and zero-padded, returned as a view, so the matrix costs
+    2 size floats, not size^2.  A leading block of it is the inverse of
+    the shorter system.
+    """
+    x = np.zeros(size)
+    x[0] = 1.0 / diag
+    for m in range(1, size):
+        x[m] = scale * np.dot(kern[m:0:-1], x[:m]) / diag
+    padded = np.concatenate([x[::-1], np.zeros(size - 1)])
+    return np.lib.stride_tricks.sliding_window_view(padded, size)[::-1]
 
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

@@ -158,7 +158,6 @@ class ScatteringFractions:
     transmitted: float
     reflected: float
     absorbed: float
-    residual_interface: float     # energy fraction still inside |x| < window
 
 
 def scattering_fractions(psi: np.ndarray, disp: DispersionRelation,
@@ -181,7 +180,6 @@ def scattering_fractions(psi: np.ndarray, disp: DispersionRelation,
     x = eps * site_coordinates(N)
     k = wavenumber_grid(N)
     psi_hat = np.fft.fft(psi)
-    e_total = eps * np.sum(np.abs(psi) ** 2)
 
     residual = eps * np.sum(
         np.abs(psi[np.abs(x) < window_halfwidth]) ** 2) / initial_energy
@@ -202,7 +200,7 @@ def scattering_fractions(psi: np.ndarray, disp: DispersionRelation,
     e_refl = masked_energy(-k_center, -1 if sign > 0 else +1)
     ft = e_trans / initial_energy
     fr = e_refl / initial_energy
-    return ScatteringFractions(ft, fr, 1.0 - ft - fr, residual)
+    return ScatteringFractions(ft, fr, 1.0 - ft - fr)
 
 
 @dataclass(frozen=True)

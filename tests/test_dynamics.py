@@ -6,9 +6,18 @@ from phonon_scatter import (ChainState, ConfigError, CouplingKernel,
                             DispersionRelation, EnsembleNoise, HorizonError,
                             MemoryKernel, ThermostatParams,
                             energy_balance_residual, nn_unpinned, p0_volterra,
-                            psi_spectral_mild, run_direct, run_vacuum_ensemble,
-                            site_coordinates, state_from_wave_field, wave_field,
-                            wave_field_hat)
+                            WavePacketSpec, init_rng, nn_pinned, psi_spectral_mild,
+                            run_direct, run_vacuum_ensemble, run_zero_temperature,
+                            sample_initial, site_coordinates, state_from_wave_field,
+                            wave_field, wave_field_hat)
+from phonon_scatter.dynamics import alpha_hat_rfft
+
+
+def _energy(p, q, kernel):
+    """Total energy sum |psi_y|^2 = 2 H(p, q) of the periodic surrogate."""
+    N = p.shape[-1]
+    conv = np.fft.irfft(alpha_hat_rfft(kernel, N) * np.fft.rfft(q), n=N)
+    return float(np.sum(p**2) + np.sum(q * conv))
 
 
 def _random_state(N, scale=0.1, seed=7):
@@ -121,10 +130,10 @@ def test_recorded_energies_are_chain_energies(disp_unpinned):
     ker = nn_unpinned()
     n, dt = 50, 0.02
     p, q = _random_state(64)
-    E0 = ChainState(64, p.copy(), q.copy()).energy(ker)
+    E0 = _energy(p, q, ker)
     traj = run_direct(p, q, ker, disp_unpinned, ThermostatParams(1.0, 0.5), dt, n,
                       noise=EnsembleNoise(2, 1, dt), record=True, snapshot_every=1,
-                      snapshot_fn=lambda p, q: ChainState(64, p.copy(), q.copy()).energy(ker))
+                      snapshot_fn=lambda p, q: _energy(p, q, ker))
     energies = np.concatenate([[E0], traj.snapshots])
     np.testing.assert_allclose(traj.energies, energies, rtol=1e-12)
 
@@ -175,6 +184,67 @@ def test_stability_precondition(disp_unpinned):
         run_direct(p, q, nn_unpinned(), disp_unpinned, ThermostatParams(), 0.3, 1)
 
 
+def _direct_with_states(p, q, ker, disp, params, dt, n, every):
+    """run_direct in place; the states it snapshots every `every` steps."""
+    traj = run_direct(p, q, ker, disp, params, dt, n, snapshot_every=every,
+                      snapshot_fn=lambda p, q: (p.copy(), q.copy()))
+    return traj.snapshots
+
+
+def _relative_diff(a, b):
+    return _max_state_diff(a, b) / max(float(np.max(np.abs(x))) for x in a)
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("gamma", [0.0, 0.7])
+@pytest.mark.parametrize("N", [64, 256])
+def test_zero_temperature_route_matches_run_direct(disp_unpinned, disp_pinned,
+                                                  pinned, gamma, N):
+    # step counts on, off and around the 256-step leaf, with states between
+    ker, disp = (nn_pinned(1.0), disp_pinned) if pinned else (nn_unpinned(), disp_unpinned)
+    params, dt = ThermostatParams(gamma, 0.0), 0.1
+    for n in (1, 2, 37, 255, 256, 257, 1001):
+        every = max(1, n // 3)
+        p, q = _random_state(N, seed=n)
+        snaps = _direct_with_states(p, q, ker, disp, params, dt, n, every)
+        p1, q1 = _random_state(N, seed=n)
+        at = range(every, n + 1, every)
+        states = run_zero_temperature(p1, q1, ker, disp, params, dt, n, at=at)
+        assert len(states) == len(at)
+        for state, snap in zip(states + [(p1, q1)], snaps[: len(at)] + [(p, q)]):
+            assert _relative_diff(snap, state) <= 1e-9
+
+
+def test_zero_temperature_route_on_the_benchmark_packet(disp_unpinned):
+    # N = 1024, gamma = 1, dt = 0.01, t_macro = 0.6: 61,440 steps and the
+    # seam guard's seven intermediate states
+    ker, N, n = nn_unpinned(), 1024, 61_440
+    spec = WavePacketSpec(x_center=-0.2, k_center=0.25, width=0.1)
+    st = sample_initial(spec, N, disp_unpinned, rng=init_rng(1))
+    p, q = st.p.copy(), st.q.copy()
+    params = ThermostatParams(1.0, 0.0)
+    snaps = _direct_with_states(p, q, ker, disp_unpinned, params, 0.01, n, n // 8)
+    states = run_zero_temperature(st.p, st.q, ker, disp_unpinned, params, 0.01, n,
+                                  at=range(n // 8, n, n // 8))
+    assert len(states) == 7
+    for state, snap in zip(states + [(st.p, st.q)], snaps):
+        assert _relative_diff(snap, state) <= 1e-9
+
+
+def test_zero_temperature_route_refusals(disp_unpinned):
+    ker, p, q = nn_unpinned(), np.zeros(32), np.zeros(32)
+    for params, dt, n, at in ((ThermostatParams(1.0, 0.5), 0.02, 4, ()),
+                              (ThermostatParams(1.0, 0.0), 0.3, 4, ()),
+                              (ThermostatParams(1.0, 0.0), 0.0, 4, ()),
+                              (ThermostatParams(1.0, 0.0), 0.02, 4, (3, 2)),
+                              (ThermostatParams(1.0, 0.0), 0.02, 4, (5,))):
+        with pytest.raises(ConfigError):
+            run_zero_temperature(p, q, ker, disp_unpinned, params, dt, n, at=at)
+    with pytest.raises(ConfigError):
+        run_zero_temperature(np.zeros((2, 32)), np.zeros((2, 32)), ker, disp_unpinned,
+                             ThermostatParams(1.0, 0.0), 0.02, 4)
+
+
 def test_mismatched_noise_refused_before_the_first_step(disp_unpinned):
     ker = nn_unpinned()
     params = ThermostatParams(1.0, 0.5)
@@ -207,9 +277,8 @@ def test_energy_conservation_free(disp_unpinned):
     # 1e-6 relative bound over 1e5 steps needs dt <= ~5e-4 at omega_max = 2
     ker = nn_unpinned()
     p, q = _random_state(256)
-    st = ChainState(256, p, q)
-    E0 = st.energy(ker)
-    traj = run_direct(st.p, st.q, ker, disp_unpinned, ThermostatParams(0.0, 0.0),
+    E0 = _energy(p, q, ker)
+    traj = run_direct(p, q, ker, disp_unpinned, ThermostatParams(0.0, 0.0),
                       dt=5e-4, n_steps=100_000, record=True)
     assert np.max(np.abs(traj.energies - E0)) / E0 < 1e-6
     assert energy_balance_residual(traj, ThermostatParams(0.0, 0.0)) < 1e-6
@@ -282,11 +351,10 @@ def test_wave_field_identities(disp_unpinned):
     p, q = _random_state(128)
     psi = wave_field(p, np.zeros(128), disp_unpinned)
     np.testing.assert_allclose(psi, 1j * p, atol=1e-12)
-    st = ChainState(128, p, q)
     psi = wave_field(p, q, disp_unpinned)
-    assert np.sum(np.abs(psi) ** 2) == pytest.approx(st.energy(ker), rel=1e-10)
+    assert np.sum(np.abs(psi) ** 2) == pytest.approx(_energy(p, q, ker), rel=1e-10)
     psi_hat = wave_field_hat(p, q, disp_unpinned)
-    assert np.sum(np.abs(psi_hat) ** 2) / 128 == pytest.approx(st.energy(ker), rel=1e-10)
+    assert np.sum(np.abs(psi_hat) ** 2) / 128 == pytest.approx(_energy(p, q, ker), rel=1e-10)
 
 
 @pytest.mark.parametrize("shape, pinned", [((128,), False), ((5, 64), False),

@@ -428,6 +428,24 @@ def test_cli_import_leaves_the_worker_pool_unloaded():
     assert out.stdout.strip() == "False False False"
 
 
+def test_scattering_run_leaves_masked_arrays_and_the_pool_unloaded(tmp_path):
+    # numpy.ma costs 0.75 MB of RSS and concurrent.futures the pool's imports;
+    # a whole scattering run (table, packet, route, fractions) needs neither
+    src = str(Path(phonon_scatter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    cfg = _write_cfg(tmp_path, "scatter.json", {
+        "kernel": "nn_unpinned", "gamma": 1.0, "temperature": 0.0, "N": 512,
+        "dt": 0.02, "t_macro": 0.52, "table": BASE_TABLE,
+        "packet": {"x_center": -0.18, "k_center": 0.25, "width": 0.08}})
+    code = ("import sys; from phonon_scatter.cli import main; "
+            f"code = main(['scattering', '--config', {str(cfg)!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}, '--seed', '5']); "
+            "print(code, *(m in sys.modules for m in ('numpy.ma', 'concurrent.futures')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120, env=env)
+    assert out.stdout.splitlines()[-1] == "0 False False"
+
+
 def _package_nodes():
     package = Path(phonon_scatter.__file__).parent
     return [(path.name, node) for path in sorted(package.glob("*.py"))

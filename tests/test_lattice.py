@@ -4,6 +4,7 @@ import pytest
 from phonon_scatter import (ConfigError, CouplingKernel, DispersionRelation,
                             DomainError, hat_alpha, kernel_from_spec, nn_pinned,
                             nn_unpinned)
+from phonon_scatter import lattice
 from phonon_scatter.lattice import _GL_NODES, _GL_WEIGHTS, _hat_alpha_prime
 
 
@@ -11,6 +12,34 @@ def test_gauss_legendre_table_is_numpys_rule_to_the_bit():
     from numpy.polynomial.legendre import leggauss
     nodes, weights = leggauss(16)
     assert np.array_equal(_GL_NODES, nodes) and np.array_equal(_GL_WEIGHTS, weights)
+
+
+def test_graded_edges_are_np_uniques_to_the_bit(monkeypatch):
+    # the edges are np.sort plus an adjacent-duplicate mask, which is what
+    # np.unique computes without importing numpy.ma; with np.sort swapped
+    # for np.unique the mask keeps everything and the edges are np.unique's
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(20_000):
+        a = float(rng.uniform(-1, 1))
+        b = a + float(rng.choice([rng.uniform(-0.1, 1), 0.5, 0.25, 0.0]))
+        hot_a, hot_b = bool(rng.integers(2)), bool(rng.integers(2))
+        base = (10 ** rng.uniform(-7, 0) if hot_a or hot_b
+                else max(b - a, 1e-3) / rng.integers(1, 200))
+        cases.append((a, b, hot_a, hot_b, float(base)))
+    ours = [lattice._graded_edges(*case) for case in cases]
+    had_duplicates = []
+
+    def unique(x):
+        edges = np.unique(x)
+        had_duplicates.append(edges.size < x.size)
+        return edges
+
+    monkeypatch.setattr(lattice.np, "sort", unique)
+    theirs = [lattice._graded_edges(*case) for case in cases]
+    monkeypatch.undo()
+    assert sum(had_duplicates) > 100
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(ours, theirs))
 
 
 def test_hat_alpha_nearest_neighbour_values():

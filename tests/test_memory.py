@@ -5,8 +5,8 @@ from scipy.special import j0
 from phonon_scatter import (DomainError, MemoryKernel,
                             g_star_series_curve, j_eval, j_laplace, p0_volterra,
                             psi_spectral_mild)
-from phonon_scatter.memory import (_block_rotation, _fft_convolve, _trapezoid_convolve,
-                                   j_laplace_batch)
+from phonon_scatter.memory import (_block_rotation, _fft_convolve, _leaf_inverse,
+                                   _trapezoid_convolve, _unit_phases, j_laplace_batch)
 from phonon_scatter.scattering import table_grid
 
 
@@ -112,6 +112,27 @@ def test_march_matches_step_loop(disp_name, gamma, request):
         assert mk.n_steps == n
         ref = _march_step_loop(mk.j_samples, gamma, mk.dt)
         assert np.max(np.abs(mk.gstar_samples - ref)) < 1e-13
+
+
+def test_unit_phases_are_the_exponential_of_the_outer_product_to_the_bit():
+    rng = np.random.default_rng(2)
+    a, b = np.arange(40) * 0.37, rng.uniform(0.0, 3.0, 23)
+    for sign in (1, -1):
+        ref = np.exp(sign * 1j * np.multiply.outer(a, b))
+        assert _unit_phases(a, b, sign).tobytes() == ref.tobytes()
+
+
+def test_leaf_inverse_inverts_its_toeplitz_system():
+    # diag on the diagonal and -scale kern[m - i] below it; a leading block
+    # of the inverse is the inverse of the shorter system
+    rng = np.random.default_rng(5)
+    kern, scale, diag = rng.standard_normal(64), -0.03, 1.2
+    m, i = np.indices((64, 64))
+    system = np.where(m > i, -scale * kern[m - i], 0.0) + diag * np.eye(64)
+    inverse = _leaf_inverse(kern, scale, diag, 64)
+    for size in (1, 17, 64):
+        block = inverse[:size, :size] @ system[:size, :size]
+        assert np.max(np.abs(block - np.eye(size))) < 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 257, 4097])
