@@ -311,11 +311,12 @@ def _check_step(dt: float, disp: DispersionRelation) -> None:
 
 def run_zero_temperature(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
                          disp: DispersionRelation, params: ThermostatParams,
-                         dt: float, n_steps: int, at=()) -> list:
+                         dt: float, n_steps: int, snapshot_every: int = 0,
+                         snapshot_fn=None) -> list:
     """Advance one ring (p, q) in place to the state that n_steps of
-    `run_direct` reach at T = 0, without stepping it, and return copies
-    (p, q) of the states after each step count in `at` (ascending, each
-    in [0, n_steps]).
+    `run_direct` reach at T = 0, without stepping it.  As there,
+    `snapshot_fn(p, q)` is called on the state every `snapshot_every`
+    steps (and at the end), and its outputs are returned as a list.
 
     In the rfft basis the frictionless step M = H D H is one real 2 x 2
     matrix per mode k, with H p = p - h q, h = dt alpha_k / 2, and
@@ -336,19 +337,16 @@ def run_zero_temperature(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
     cos(j theta) and s_j factor into four fixed (B, K) tables of
     cos(bB theta), s_{bB}, cos(r theta) and s_r, so each is two `einsum`
     products into preallocated (2, B, K) buffers.  No array of length
-    n_steps is held, and no level-3 BLAS call is made.  At gamma = 0 the
-    run is one rotation by M^n per stretch between the states asked for.
+    n_steps is held, and no level-3 BLAS call is made.  A snapshot ends a
+    block early; each is written into p and q, so no state is copied.
     The result agrees with `run_direct` to round-off, not bitwise.
 
-    Raises ConfigError for T > 0, a step outside the stability margin, a
-    batch of rings, or a step count in `at` out of order or range.
+    Raises ConfigError for T > 0, a step outside the stability margin or a
+    batch of rings.
     """
     _check_step(dt, disp)
     if params.temperature != 0.0:
         raise ConfigError("run_zero_temperature needs temperature 0")
-    stops = [int(s) for s in at]
-    if stops != sorted(stops) or not all(0 <= s <= n_steps for s in stops):
-        raise ConfigError(f"step counts {stops} must ascend within [0, {n_steps}]")
     if p.ndim != 1 or q.shape != p.shape:
         raise ConfigError("run_zero_temperature advances one ring")
     N = p.size
@@ -414,24 +412,25 @@ def run_zero_temperature(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
         np.einsum("tbk,sbk->tsk", outer, buf, out=sums)
         return sums[0, 0] - sin2 * sums[1, 1], sums[1, 0] + sums[0, 1]
 
+    every = snapshot_every if snapshot_fn is not None else 0
+    stops = [*range(every, n_steps, every), n_steps] if every else [n_steps]
     zp, zq = np.fft.rfft(p), np.fft.rfft(q)
-    states = []
+    snapshots = []
     pos = 0
-    for stop in stops + [n_steps]:
+    for stop in stops:
         while pos < stop:
-            # without friction nothing couples the modes: one rotation
-            count = min(L, stop - pos) if damp else stop - pos
-            cs, ss = impulse_sums(zp, zq, count) if damp else (0.0, 0.0)
+            count = min(L, stop - pos)
+            cs, ss = impulse_sums(zp, zq, count)
             zp, zq = rotate(zp, zq, count)
             # cs g + ss Nk g, with Nk g = (-beta dt, dt cos1)
             zp += cs * cos1 - ss * beta * dt
             zq += (cs + ss * cos1) * dt
             pos += count
-        if len(states) < len(stops):
-            states.append((np.fft.irfft(zp, n=N), np.fft.irfft(zq, n=N)))
-    np.fft.irfft(zp, n=N, out=p)
-    np.fft.irfft(zq, n=N, out=q)
-    return states
+        np.fft.irfft(zp, n=N, out=p)
+        np.fft.irfft(zq, n=N, out=q)
+        if every and stop:
+            snapshots.append(snapshot_fn(p, q))
+    return snapshots
 
 
 def run_vacuum_ensemble(kernel: CouplingKernel, disp: DispersionRelation,

@@ -261,13 +261,17 @@ def _one_scattering_run(cfg: dict, kernel, disp, k_center: float, state,
     total0 = float(np.sum(np.abs(psi0) ** 2))
     e0 = total0 / N
     params = ThermostatParams(cfg["gamma"], 0.0)
-    # the guard watches every multiple of guard_every and the final state
     guard_every = max(1, n_steps // 8)
-    states = run_zero_temperature(state.p, state.q, kernel, disp, params, cfg["dt"],
-                                  n_steps, at=range(guard_every, n_steps, guard_every))
+    seam_max = 0.0
+
+    def snap(p, q):
+        nonlocal seam_max
+        seam_max = max(seam_max, _seam_energy_fraction(wave_field(p, q, disp), total0))
+        return None
+
+    run_zero_temperature(state.p, state.q, kernel, disp, params, cfg["dt"], n_steps,
+                         snapshot_every=guard_every, snapshot_fn=snap)
     psi = wave_field(state.p, state.q, disp)
-    seams = [_seam_energy_fraction(wave_field(p, q, disp), total0) for p, q in states]
-    seam_max = max(seams + [_seam_energy_fraction(psi, total0)])
     if seam_max > SEAM_GUARD_FRACTION:
         raise InvalidRunError(
             f"wraparound guard tripped: seam energy fraction {seam_max:.2e} "

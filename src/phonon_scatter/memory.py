@@ -75,19 +75,6 @@ def _uniform_grid(t) -> tuple[float, int]:
     return dt, n
 
 
-def _unit_phases(a: np.ndarray, b: np.ndarray, sign: int) -> np.ndarray:
-    """e^{sign i a_m b_n} as a complex (a.size, b.size) array, bitwise what
-    np.exp(sign * 1j * np.multiply.outer(a, b)) gives.  The phases are
-    written into the imaginary part of the result and exponentiated in
-    place, so the table is the only array held, where that expression
-    holds a float and two complex tables at once."""
-    out = np.zeros((a.size, b.size), dtype=complex)
-    np.multiply.outer(a, b, out=out.imag)
-    if sign < 0:
-        np.negative(out.imag, out=out.imag)
-    return np.exp(out, out=out)
-
-
 def _block_rotation(om, dt: float, n: int, c, transpose: bool = False) -> np.ndarray:
     """Phase sums on the grid m dt, m = 0..n, by block phase rotation.
 
@@ -113,9 +100,9 @@ def _block_rotation(om, dt: float, n: int, c, transpose: bool = False) -> np.nda
         acc = np.zeros((nb, B), dtype=complex)
         for s in range(0, om.size, chunk):
             w = om[s : s + chunk]
-            outer = _unit_phases(outer_t, w, -1)
+            outer = np.exp(-1j * np.multiply.outer(outer_t, w))
             outer *= c[s : s + chunk]
-            acc += outer @ _unit_phases(w, inner_t, -1)
+            acc += outer @ np.exp(-1j * np.multiply.outer(w, inner_t))
         return acc.reshape(-1)[: n + 1]
     blocks = np.zeros(nb * B, dtype=complex)
     blocks[: n + 1] = c
@@ -123,8 +110,8 @@ def _block_rotation(om, dt: float, n: int, c, transpose: bool = False) -> np.nda
     out = np.empty(om.size, dtype=complex)
     for s in range(0, om.size, chunk):
         w = om[s : s + chunk]
-        outer = _unit_phases(outer_t, w, 1)
-        outer *= blocks @ _unit_phases(inner_t, w, 1)
+        outer = np.exp(1j * np.multiply.outer(outer_t, w))
+        outer *= blocks @ np.exp(1j * np.multiply.outer(inner_t, w))
         np.sum(outer, axis=0, out=out[s : s + chunk])
     return out
 
@@ -309,7 +296,7 @@ class MemoryKernel:
         chunk = max(1, _PHASE_CHUNK // self.t_grid.size)
         for s in range(0, karr.size, chunk):
             om = np.asarray(self.disp.omega(karr[s : s + chunk]))
-            f = _unit_phases(om, self.t_grid, 1)
+            f = np.exp(1j * np.multiply.outer(om, self.t_grid))
             f *= self.gstar_samples
             # each chunk's cumulative trapezoid is built in its rows of out
             rows = out[s : s + chunk]

@@ -208,16 +208,16 @@ def test_zero_temperature_route_matches_run_direct(disp_unpinned, disp_pinned,
         p, q = _random_state(N, seed=n)
         snaps = _direct_with_states(p, q, ker, disp, params, dt, n, every)
         p1, q1 = _random_state(N, seed=n)
-        at = range(every, n + 1, every)
-        states = run_zero_temperature(p1, q1, ker, disp, params, dt, n, at=at)
-        assert len(states) == len(at)
-        for state, snap in zip(states + [(p1, q1)], snaps[: len(at)] + [(p, q)]):
+        states = run_zero_temperature(p1, q1, ker, disp, params, dt, n, snapshot_every=every,
+                                      snapshot_fn=lambda p, q: (p.copy(), q.copy()))
+        assert len(states) == len(snaps)
+        for state, snap in zip(states + [(p1, q1)], snaps + [(p, q)]):
             assert _relative_diff(snap, state) <= 1e-9
 
 
 def test_zero_temperature_route_on_the_benchmark_packet(disp_unpinned):
     # N = 1024, gamma = 1, dt = 0.01, t_macro = 0.6: 61,440 steps and the
-    # seam guard's seven intermediate states
+    # seam guard's eight states
     ker, N, n = nn_unpinned(), 1024, 61_440
     spec = WavePacketSpec(x_center=-0.2, k_center=0.25, width=0.1)
     st = sample_initial(spec, N, disp_unpinned, rng=init_rng(1))
@@ -225,21 +225,20 @@ def test_zero_temperature_route_on_the_benchmark_packet(disp_unpinned):
     params = ThermostatParams(1.0, 0.0)
     snaps = _direct_with_states(p, q, ker, disp_unpinned, params, 0.01, n, n // 8)
     states = run_zero_temperature(st.p, st.q, ker, disp_unpinned, params, 0.01, n,
-                                  at=range(n // 8, n, n // 8))
-    assert len(states) == 7
-    for state, snap in zip(states + [(st.p, st.q)], snaps):
+                                  snapshot_every=n // 8,
+                                  snapshot_fn=lambda p, q: (p.copy(), q.copy()))
+    assert len(states) == len(snaps) == 8
+    for state, snap in zip(states + [(st.p, st.q)], snaps + [(p, q)]):
         assert _relative_diff(snap, state) <= 1e-9
 
 
 def test_zero_temperature_route_refusals(disp_unpinned):
     ker, p, q = nn_unpinned(), np.zeros(32), np.zeros(32)
-    for params, dt, n, at in ((ThermostatParams(1.0, 0.5), 0.02, 4, ()),
-                              (ThermostatParams(1.0, 0.0), 0.3, 4, ()),
-                              (ThermostatParams(1.0, 0.0), 0.0, 4, ()),
-                              (ThermostatParams(1.0, 0.0), 0.02, 4, (3, 2)),
-                              (ThermostatParams(1.0, 0.0), 0.02, 4, (5,))):
+    for params, dt in ((ThermostatParams(1.0, 0.5), 0.02),
+                       (ThermostatParams(1.0, 0.0), 0.3),
+                       (ThermostatParams(1.0, 0.0), 0.0)):
         with pytest.raises(ConfigError):
-            run_zero_temperature(p, q, ker, disp_unpinned, params, dt, n, at=at)
+            run_zero_temperature(p, q, ker, disp_unpinned, params, dt, 4)
     with pytest.raises(ConfigError):
         run_zero_temperature(np.zeros((2, 32)), np.zeros((2, 32)), ker, disp_unpinned,
                              ThermostatParams(1.0, 0.0), 0.02, 4)

@@ -6,7 +6,7 @@ from phonon_scatter import (DomainError, MemoryKernel,
                             g_star_series_curve, j_eval, j_laplace, p0_volterra,
                             psi_spectral_mild)
 from phonon_scatter.memory import (_block_rotation, _fft_convolve, _leaf_inverse,
-                                   _trapezoid_convolve, _unit_phases, j_laplace_batch)
+                                   _trapezoid_convolve, j_laplace_batch)
 from phonon_scatter.scattering import table_grid
 
 
@@ -112,14 +112,6 @@ def test_march_matches_step_loop(disp_name, gamma, request):
         assert mk.n_steps == n
         ref = _march_step_loop(mk.j_samples, gamma, mk.dt)
         assert np.max(np.abs(mk.gstar_samples - ref)) < 1e-13
-
-
-def test_unit_phases_are_the_exponential_of_the_outer_product_to_the_bit():
-    rng = np.random.default_rng(2)
-    a, b = np.arange(40) * 0.37, rng.uniform(0.0, 3.0, 23)
-    for sign in (1, -1):
-        ref = np.exp(sign * 1j * np.multiply.outer(a, b))
-        assert _unit_phases(a, b, sign).tobytes() == ref.tobytes()
 
 
 def test_leaf_inverse_inverts_its_toeplitz_system():
