@@ -32,33 +32,18 @@ integrates in place.  Noise is drawn in blocks of _NOISE_BLOCK = 256 steps,
 0.8 MB for 400 paths, each freed before the next is drawn, and the Philox
 streams make the draws independent of the block size.
 
-An ensemble started at rest is never stepped.  The chain is linear and the
-noise enters additively at site 0, so each path's final state is its
-increments times the integrator's own impulse response g_j, the state j
-noise-free `run_direct` steps after one unit increment.
-`run_vacuum_ensemble` walks the noise forward block by block, regenerates
-the block's rows of g from checkpoints of one noise-free march, and adds
-one matrix product per block and tile of paths.  It accumulates into one
-complex array q + ip, and draws each tile's increments into one reused
-(256, 64) buffer (0.13 MB), so `wave_field` can then turn that array into
-psi = Omega q + ip in place: the benchmark's 800-path ensemble and its wave
-field share one 3.3 MB array.
-
-A single ring at zero temperature is never stepped either.
-`run_zero_temperature` evaluates the same integrator's law in the rfft
-basis, where the frictionless step M = H D H (half-kick, drift, half-kick)
-is one 2 x 2 rotation per mode, M^j = cos(j theta) + sin(j theta)/sin theta
-(M - cos theta), cos theta = 1 - dt^2 alpha_k / 2.  The thermostat enters
-only as the site-0 impulse u_m = (e^{-gamma dt} - 1) p0_m after the first
-half-kick.  The run advances one block of L = 256 steps at a time: the
-block's p0 values solve one fixed lower-triangular Toeplitz system, whose
-kernel is c_j = [H M^j H D e]_0 and whose right side [H M^m Z]_0 comes
-from the block's opening state Z, and then
-Z <- M^L Z + sum_j u_j M^{L-1-j} H D e.  Both sums over the block are
-phase sums over the modes, evaluated from four fixed (16, N/2+1) cos/sin
-tables with `einsum`, so no array grows with the step count.  It agrees
-with `run_direct` to round-off (6e-14 relative on the benchmark's 61,440
-steps) and takes 0.07 s where stepping takes 1.4 s.
+Neither a ring at zero temperature nor an ensemble started at rest is
+stepped.  `_RingLaw` holds the integrator's noise-free law per rfft mode:
+a 2 x 2 rotation per step, the thermostat as a site-0 impulse, and one
+fixed Toeplitz solve plus phase sums per block of 256 steps.
+`run_zero_temperature` advances one ring by those blocks; it agrees with
+`run_direct` to round-off (6e-14 relative on the benchmark's 61,440
+steps).  `run_vacuum_ensemble` takes the impulse response g_j from the
+same law: the chain is linear and the noise enters additively at site 0,
+so each path's final state is its increments times g.  The rows' spectra
+are real, so one matrix product per block and tile of 64 paths sums them
+in mode space, in the first N+2 floats of each row of one complex array
+that then holds q + ip, and `wave_field` turns it into psi in place.
 
 The second, independent route (zero temperature only) evolves the wave
 field spectrally: the free momentum history at site 0 is convolved with the
@@ -87,8 +72,10 @@ _NOISE_BLOCK = 256
 # rows per rfft/irfft pair in wave_field: a (64, N/2+1) spectrum at a time
 _WAVE_ROWS = 64
 # paths per matrix product and per noise draw in run_vacuum_ensemble: a
-# (64, 2N) product and a (256, 64) block of increments at a time
+# (64, N + 2) product and a (256, 64) block of increments at a time
 _PATH_TILE = 64
+# modes per chunk of `_RingLaw.rows`: (256, 16) tables, 32 KB each
+_ROW_MODES = 16
 
 
 @dataclass
@@ -309,40 +296,138 @@ def _check_step(dt: float, disp: DispersionRelation) -> None:
         )
 
 
+class _RingLaw:
+    """The integrator's noise-free law on a ring of N sites, per rfft mode,
+    built once per (kernel, gamma, dt, N): the one place that the routes
+    which do not step read the stage order from.
+
+    The frictionless step M = H D H is a real 2 x 2 matrix per mode, with
+    H p = p - h q, h = dt alpha_k / 2, and D q = q + dt p.  Its trace gives
+    cos theta = 1 - h dt, and M - cos theta = Nk = [[0, -beta], [dt, 0]]
+    with beta dt = sin^2 theta, so M^j = cos(j theta) + s_j Nk,
+    s_j = sin(j theta) / sin theta (j at the zero mode).  The thermostat
+    is the site-0 impulse u_m = (e^{-gamma dt} - 1) v_m after the first
+    half-kick, v_m the site-0 momentum there, so from Z the state after i
+    steps is X_i = M^i Z + sum_{m<i} u_m M^{i-1-m} g, g = H D e = (cos
+    theta, dt).  In a block of at most _MARCH_LEAF steps, v_m = [H M^m Z]_0
+    + (a - 1) sum_{l<m} c_{m-1-l} v_l, c_j = [H M^j g]_0, is one
+    lower-triangular Toeplitz system, the same for every block, whose
+    inverse `_leaf_inverse` builds once.  Sums over a block's steps are
+    phase sums over the modes: with B = 16 and j = bB + r they factor into
+    four fixed (B, K) tables of cos(bB theta), s_{bB}, cos(r theta), s_r.
+    """
+
+    def __init__(self, kernel: CouplingKernel, gamma: float, dt: float, N: int):
+        self.dt = dt
+        alpha = np.maximum(alpha_hat_rfft(kernel, N), 0.0)
+        self.h = h = 0.5 * dt * alpha
+        self.cos1 = cos1 = 1.0 - h * dt
+        self.beta = beta = h * (2.0 - h * dt)
+        self.sin2 = beta * dt
+        self.theta = theta = 2.0 * np.arcsin(0.5 * dt * np.sqrt(alpha))
+        self.sin1 = np.sin(theta)
+        self.moving = moving = self.sin1 > 0.0
+        L = _MARCH_LEAF
+        B = math.isqrt(L - 1) + 1
+        # [t, b]: cos(b B theta) and s_{bB} (outer), cos(r theta) and s_r (inner)
+        self.outer = np.empty((2, B, theta.size))
+        self.inner = np.empty((2, B, theta.size))
+        for table, stride in ((self.outer, B), (self.inner, 1)):
+            j = np.arange(B)[:, None] * stride
+            np.multiply(j, theta, out=table[1])
+            np.cos(table[1], out=table[0])
+            np.sin(table[1], out=table[1])
+            np.divide(table[1], self.sin1, out=table[1], where=moving)
+            table[1][:, ~moving] = j
+        self._buf = np.empty((2, B, theta.size))
+        self._sums = np.empty((2, 2, theta.size))
+        self._head = np.empty((B, B))
+        self._reversed_u = np.zeros((B, B))
+        # site 0 is (1/N) sum over the full DFT: the rfft modes but 0 and N/2 twice
+        self.weight = np.full(theta.size, 2.0 / N)
+        self.weight[[0, -1]] = 1.0 / N
+        kern = np.zeros(L)
+        kern[1:] = self.site0_momenta(cos1, dt, L - 1)
+        self.damp = np.exp(-gamma * dt) - 1.0
+        self.inverse = _leaf_inverse(kern, self.damp, 1.0, L)
+
+    def rotate(self, zp, zq, j: int):
+        """M^j (zp, zq): cos(j theta) (zp, zq) + s_j Nk (zp, zq)."""
+        theta = self.theta
+        s = np.full(theta.size, float(j))
+        np.divide(np.sin(j * theta), self.sin1, out=s, where=self.moving)
+        c = np.cos(j * theta)
+        return c * zp - s * self.beta * zq, c * zq + s * self.dt * zp
+
+    def site0_momenta(self, cp, cq, count: int) -> np.ndarray:
+        """[H M^m (cp, cq)]_0 for m < count: sum_k A_k cos(m theta) + B_k s_m."""
+        a_k = self.weight * np.real(cp - self.h * cq)
+        b_k = self.weight * np.real(-self.beta * cq - self.h * self.dt * cp)
+        coef = np.array([[a_k, b_k], [b_k, -self.sin2 * a_k]])
+        np.einsum("tbk,stk->sbk", self.outer, coef, out=self._buf)
+        np.einsum("sbk,srk->br", self._buf, self.inner, out=self._head)
+        return self._head.reshape(-1)[:count]
+
+    def impulses(self, zp, zq, count: int) -> np.ndarray:
+        """u_m for the next count steps from (zp, zq): one leaf solve."""
+        u = self.inverse[:count, :count] @ self.site0_momenta(zp, zq, count)
+        u *= self.damp
+        return u
+
+    def advance(self, zp, zq, count: int):
+        """The state count steps after (zp, zq): M^count Z + cs g + ss Nk g,
+        cs and ss the impulses' phase sums, two `einsum` products."""
+        reversed_u, buf, sums = self._reversed_u, self._buf, self._sums
+        u = self.impulses(zp, zq, count)
+        reversed_u.reshape(-1)[:count] = u[::-1]
+        reversed_u.reshape(-1)[count:] = 0.0
+        # sums[t, s] = sum_{b, r} u~[b, r] outer[t, b] inner[s, r]
+        np.einsum("br,srk->sbk", reversed_u, self.inner, out=buf)
+        np.einsum("tbk,sbk->tsk", self.outer, buf, out=sums)
+        cs, ss = sums[0, 0] - self.sin2 * sums[1, 1], sums[1, 0] + sums[0, 1]
+        zp, zq = self.rotate(zp, zq, count)
+        # cs g + ss Nk g, with Nk g = (-beta dt, dt cos1)
+        zp += cs * self.cos1 - ss * self.beta * self.dt
+        zq += (cs + ss * self.cos1) * self.dt
+        return zp, zq
+
+    def rows(self, zp, zq, count: int, out: np.ndarray) -> None:
+        """X_i, i < count, from the real spectra (zp, zq) into out[i] =
+        (p spectrum, q spectrum).  M^{-m} = cos(m theta) - s_m Nk, so
+        X_i = M^{i-1} (M Z + U_c g - U_s Nk g) for i >= 1, with the running
+        sums U_c = sum_{m<i} u_m cos(m theta) and U_s = sum_{m<i} u_m s_m:
+        no Toeplitz matrix.  The tables come _ROW_MODES modes at a time.
+        """
+        u = self.impulses(zp, zq, count)[: count - 1, None]
+        mzp, mzq = self.rotate(zp, zq, 1)
+        K, B, dt = self.theta.size, self.outer.shape[1], self.dt
+        out[0, :K], out[0, K:] = zp, zq
+        for k0 in range(0, K, _ROW_MODES):
+            k = slice(k0, min(k0 + _ROW_MODES, K))
+            sin2, beta, cos1 = self.sin2[k], self.beta[k], self.cos1[k]
+            (co, so), (ci, si) = self.outer[:, :, None, k], self.inner[:, None, :, k]
+            # cos(j theta) and s_j for j = bB + r < count - 1
+            c = (co * ci - sin2 * so * si).reshape(B * B, -1)[: count - 1]
+            s = (so * ci + co * si).reshape(B * B, -1)[: count - 1]
+            uc, us = np.cumsum(u * c, axis=0), np.cumsum(u * s, axis=0)
+            # W = M Z + U_c g - U_s Nk g, with Nk g = (-beta dt, dt cos1)
+            wp = mzp[k] + uc * cos1 + us * (beta * dt)
+            wq = mzq[k] + (uc - us * cos1) * dt
+            out[1:, k] = c * wp - s * (beta * wq)
+            out[1:, K:][:, k] = c * wq + s * (dt * wp)
+
+
 def run_zero_temperature(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
                          disp: DispersionRelation, params: ThermostatParams,
                          dt: float, n_steps: int, snapshot_every: int = 0,
                          snapshot_fn=None) -> list:
     """Advance one ring (p, q) in place to the state that n_steps of
-    `run_direct` reach at T = 0, without stepping it.  As there,
+    `run_direct` reach at T = 0, without stepping it: `_RingLaw.advance`
+    one block of at most _MARCH_LEAF steps at a time.  As there,
     `snapshot_fn(p, q)` is called on the state every `snapshot_every`
-    steps (and at the end), and its outputs are returned as a list.
-
-    In the rfft basis the frictionless step M = H D H is one real 2 x 2
-    matrix per mode k, with H p = p - h q, h = dt alpha_k / 2, and
-    D q = q + dt p.  Its trace gives cos theta = 1 - h dt, and
-    M - cos theta = Nk = [[0, -beta], [dt, 0]] with beta dt = sin^2 theta,
-    so M^j = cos(j theta) + s_j Nk, s_j = sin(j theta) / sin theta (s_j = j
-    at the zero mode, where sin theta = 0).  The thermostat is the site-0
-    impulse u_m = (e^{-gamma dt} - 1) v_m after the first half-kick, v_m
-    the site-0 momentum there, so the state after n steps is
-    M^n X_0 + sum_m u_m M^{n-1-m} g, g = H D e the impulse's image.
-
-    The run advances one block of at most _MARCH_LEAF steps at a time from
-    its opening state Z.  v_m = [H M^m Z]_0 + (a - 1) sum_{l<m} c_{m-1-l}
-    v_l with c_j = [H M^j g]_0: one lower-triangular Toeplitz system,
-    the same for every block, whose inverse `_leaf_inverse` builds once.
-    Then Z <- M^L Z + sum_j u_j M^{L-1-j} g.  Both sums over the block's
-    steps are phase sums over the modes: with B = 16 and j = bB + r,
-    cos(j theta) and s_j factor into four fixed (B, K) tables of
-    cos(bB theta), s_{bB}, cos(r theta) and s_r, so each is two `einsum`
-    products into preallocated (2, B, K) buffers.  No array of length
-    n_steps is held, and no level-3 BLAS call is made.  A snapshot ends a
-    block early; each is written into p and q, so no state is copied.
-    The result agrees with `run_direct` to round-off, not bitwise.
-
-    Raises ConfigError for T > 0, a step outside the stability margin or a
-    batch of rings.
+    steps (and at the end), written into p and q, and its outputs are
+    returned as a list.  Agrees with `run_direct` to round-off.  Raises
+    ConfigError for T > 0, a step outside the stability margin or a batch.
     """
     _check_step(dt, disp)
     if params.temperature != 0.0:
@@ -350,68 +435,7 @@ def run_zero_temperature(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
     if p.ndim != 1 or q.shape != p.shape:
         raise ConfigError("run_zero_temperature advances one ring")
     N = p.size
-    alpha = np.maximum(alpha_hat_rfft(kernel, N), 0.0)
-    h = 0.5 * dt * alpha
-    cos1 = 1.0 - h * dt
-    beta = h * (2.0 - h * dt)
-    sin2 = beta * dt
-    theta = 2.0 * np.arcsin(0.5 * dt * np.sqrt(alpha))
-    sin1 = np.sin(theta)
-    moving = sin1 > 0.0
-
-    def rotate(zp, zq, j):
-        """M^j (zp, zq): cos(j theta) (zp, zq) + s_j Nk (zp, zq)."""
-        s = np.full(theta.size, float(j))
-        np.divide(np.sin(j * theta), sin1, out=s, where=moving)
-        c = np.cos(j * theta)
-        return c * zp - s * beta * zq, c * zq + s * dt * zp
-
-    L = _MARCH_LEAF
-    B = math.isqrt(L - 1) + 1
-    # [t, b]: cos(b B theta) and s_{bB} (outer), cos(r theta) and s_r (inner)
-    outer, inner = np.empty((2, B, theta.size)), np.empty((2, B, theta.size))
-    for table, stride in ((outer, B), (inner, 1)):
-        j = np.arange(B)[:, None] * stride
-        np.multiply(j, theta, out=table[1])
-        np.cos(table[1], out=table[0])
-        np.sin(table[1], out=table[1])
-        np.divide(table[1], sin1, out=table[1], where=moving)
-        table[1][:, ~moving] = j
-    buf = np.empty((2, B, theta.size))
-    sums = np.empty((2, 2, theta.size))
-    head = np.empty((B, B))
-    # site 0 is (1/N) sum over the full DFT: the rfft modes but 0 and N/2 twice
-    weight = np.full(theta.size, 2.0 / N)
-    weight[[0, -1]] = 1.0 / N
-
-    def site0_momenta(cp, cq, count):
-        """[H M^m (cp, cq)]_0 for m < count: sum_k A_k cos(m theta) + B_k s_m."""
-        a_k = weight * np.real(cp - h * cq)
-        b_k = weight * np.real(-beta * cq - h * dt * cp)
-        coef = np.array([[a_k, b_k], [b_k, -sin2 * a_k]])
-        np.einsum("tbk,stk->sbk", outer, coef, out=buf)
-        np.einsum("sbk,srk->br", buf, inner, out=head)
-        return head.reshape(-1)[:count]
-
-    # the impulse's image is g = H D e = (cos1, dt) per mode
-    kern = np.zeros(L)
-    kern[1:] = site0_momenta(cos1, dt, L - 1)
-    damp = np.exp(-params.gamma * dt) - 1.0
-    inverse = _leaf_inverse(kern, damp, 1.0, L)
-    reversed_u = np.zeros((B, B))
-
-    def impulse_sums(zp, zq, count):
-        """sum_j u_j cos((count-1-j) theta) and sum_j u_j s_{count-1-j}
-        over the next count steps from (zp, zq)."""
-        u = inverse[:count, :count] @ site0_momenta(zp, zq, count)
-        u *= damp
-        reversed_u.reshape(-1)[:count] = u[::-1]
-        reversed_u.reshape(-1)[count:] = 0.0
-        # sums[t, s] = sum_{b, r} u~[b, r] outer[t, b] inner[s, r]
-        np.einsum("br,srk->sbk", reversed_u, inner, out=buf)
-        np.einsum("tbk,sbk->tsk", outer, buf, out=sums)
-        return sums[0, 0] - sin2 * sums[1, 1], sums[1, 0] + sums[0, 1]
-
+    law = _RingLaw(kernel, params.gamma, dt, N)
     every = snapshot_every if snapshot_fn is not None else 0
     stops = [*range(every, n_steps, every), n_steps] if every else [n_steps]
     zp, zq = np.fft.rfft(p), np.fft.rfft(q)
@@ -419,12 +443,8 @@ def run_zero_temperature(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
     pos = 0
     for stop in stops:
         while pos < stop:
-            count = min(L, stop - pos)
-            cs, ss = impulse_sums(zp, zq, count)
-            zp, zq = rotate(zp, zq, count)
-            # cs g + ss Nk g, with Nk g = (-beta dt, dt cos1)
-            zp += cs * cos1 - ss * beta * dt
-            zq += (cs + ss * cos1) * dt
+            count = min(_MARCH_LEAF, stop - pos)
+            zp, zq = law.advance(zp, zq, count)
             pos += count
         np.fft.irfft(zp, n=N, out=p)
         np.fft.irfft(zq, n=N, out=q)
@@ -440,78 +460,81 @@ def run_vacuum_ensemble(kernel: CouplingKernel, disp: DispersionRelation,
     """Final (p, q), each (n_paths, N), of rings started at rest and
     advanced n_steps by `run_direct` with `noise`, without stepping them.
 
-    The chain is linear and the noise enters additively at site 0, so path
-    by path the state after n steps is x = sum_m dw_m g_{n-1-m}, where g_0
-    is one `run_direct` step from rest with a unit increment and g_j is j
-    further noise-free `run_direct` steps.  A first pass marches g and keeps
-    the rows g_{n-m1} that open each noise block [m0, m1); the second
-    regenerates each block's rows from its checkpoint, newest first, and
-    adds the block's increments times those rows to the paths, _PATH_TILE
-    paths per matrix product.  Each tile's increments are drawn into one
-    reused (_NOISE_BLOCK, _PATH_TILE) buffer, so no whole noise block is
-    ever held.
+    Path by path the state is sum_m dw_m g_{n-1-m}: g_0 is one step from
+    rest with a unit increment, scale (cos theta, dt) per mode with scale =
+    sqrt(T (1 - e^{-2 gamma dt}) / dt), and g_j follows by `_RingLaw`.  A
+    first pass keeps the opening state of the rows of each noise block; the
+    second walks the noise forward, expands each block's rows as real
+    (count, N+2) spectra and adds its increments times them to the paths'
+    spectra, one product per tile of _PATH_TILE paths, the tile's noise
+    drawn into one reused buffer.
 
-    The state accumulates in one complex (n_paths, N) array q + ip, `out`
-    when given (C-contiguous; its contents are overwritten), and p and q
-    are returned as its .imag and .real views, so `wave_field(p, q, disp,
-    out=out)` builds psi in the same storage.  Beyond that array the working
-    memory is one block of rows, one tile product and the noise buffer: 1.0,
-    0.26 and 0.13 MB for the benchmark's 800 paths on 256 sites.
-
-    `noise` is an EnsembleNoise for n_paths paths (None unless gamma > 0
-    and T > 0, in which case the rings stay at rest).  The result agrees
-    with a batch `run_direct` on the same noise to rounding.
+    The spectra are summed in the first N+2 floats of each row of one
+    complex (n_paths, N) array, `out` when given (complex128, C-contiguous,
+    or ConfigError), and an irfft pair per tile writes q + ip over them; p
+    and q are returned as its .imag and .real views.  Beyond it the working
+    memory is 0.8 MB for 800 paths on 256 sites.  `noise` is an
+    EnsembleNoise (None unless gamma > 0 and T > 0: the rings stay at
+    rest).  Agrees with a batch `run_direct` on the same noise to rounding.
     """
-    state = np.empty((n_paths, N), dtype=complex) if out is None else out
-    state.fill(0.0)
-    p_out, q_out = state.imag, state.real
-    g_p, g_q = np.zeros(N), np.zeros(N)
+    if out is not None:
+        _check_out(out, (n_paths, N))
     needs_noise = params.gamma > 0.0 and params.temperature > 0.0
     if needs_noise and not isinstance(noise, EnsembleNoise):
         raise ConfigError("gamma > 0 and T > 0 require an EnsembleNoise source")
     if noise is not None:
         _check_noise(noise, dt, n_steps, (n_paths,))
-    # g_0; also checks dt, and the rings stay at rest when nothing drives them
-    run_direct(g_p, g_q, kernel, disp, params, dt, 1,
-               noise=np.ones(1) if needs_noise else None)
+    _check_step(dt, disp)
+    state = np.empty((n_paths, N), dtype=complex) if out is None else out
+    state.fill(0.0)
+    p_out, q_out = state.imag, state.real
     if not needs_noise:
         return p_out, q_out
-    free = ThermostatParams(params.gamma, 0.0)
+    law = _RingLaw(kernel, params.gamma, dt, N)
+    decay = np.exp(-params.gamma * dt)
+    scale = np.sqrt(params.temperature * (1.0 - decay * decay)) / np.sqrt(dt)
+    K = N // 2 + 1
     blocks = [(m0, min(m0 + _NOISE_BLOCK, n_steps))
               for m0 in range(0, n_steps, _NOISE_BLOCK)]
-    checkpoints = {}
-    j = 0
-    for m0, m1 in reversed(blocks):
-        # from row j to row n - m1, the checkpoint of block [m0, m1)
-        run_direct(g_p, g_q, kernel, disp, free, dt, n_steps - m1 - j)
-        j = n_steps - m1
-        checkpoints[j] = (g_p.copy(), g_q.copy())
+    # openings[i] opens the rows of blocks[-1 - i]: g_0, then block advances
+    openings = [(scale * law.cos1, np.full(K, scale * dt))]
+    for m0, m1 in reversed(blocks[1:]):
+        openings.append(law.advance(*openings[-1], m1 - m0))
 
-    # rows[i] holds (p, q) of g_{n-1-m0-i}, the row that pairs with dw_{m0+i}
-    rows = np.empty((min(_NOISE_BLOCK, n_steps), 2 * N))
-    width = min(_PATH_TILE, n_paths)
-    dw = np.empty((len(rows), width))
-    tile = np.empty((width, 2 * N))
+    # each path's (p, q) spectra, summed in the first 2K floats of its row
+    spectra = state.view(float)[:, : 2 * K]
+    # a block's rows, a tile product and a tile of noise share one
+    # workspace, allocated and released in one piece
+    L, width = min(_NOISE_BLOCK, n_steps), min(_PATH_TILE, n_paths)
+    rows, tile, dw = np.split(np.empty(2 * K * (L + width) + L * width),
+                              [2 * K * L, 2 * K * (L + width)])
+    rows, tile, dw = rows.reshape(L, 2 * K), tile.reshape(width, 2 * K), dw.reshape(L, width)
     for m0, m1 in blocks:
         count = m1 - m0
-        i = count - 1
-        g_p, g_q = checkpoints.pop(n_steps - m1)
-        rows[i, :N], rows[i, N:] = g_p, g_q
-
-        def keep(p, q):
-            nonlocal i
-            i -= 1
-            rows[i, :N], rows[i, N:] = p, q
-
-        run_direct(g_p, g_q, kernel, disp, free, dt, count - 1,
-                   snapshot_every=1, snapshot_fn=keep)
+        # rows[i] pairs with dw_{m0+i}: g_{n-1-m0-i}, the law's rows read backwards
+        law.rows(*openings.pop(), count, out=rows[count - 1 :: -1])
         for a in range(0, n_paths, _PATH_TILE):
             b = min(a + _PATH_TILE, n_paths)
             tile_dw = noise.block(count, (a, b), out=dw[:count, : b - a])
-            prod = np.matmul(tile_dw.T, rows[:count], out=tile[: b - a])
-            p_out[a:b] += prod[:, :N]
-            q_out[a:b] += prod[:, N:]
+            spectra[a:b] += np.matmul(tile_dw.T, rows[:count], out=tile[: b - a])
+            if m1 == n_steps:
+                # the tile's sums are complete: copied out before its irfft
+                # pair writes q + ip over them
+                tile[: b - a] = spectra[a:b]
+                np.fft.irfft(tile[: b - a, :K], n=N, axis=-1, out=p_out[a:b])
+                np.fft.irfft(tile[: b - a, K:], n=N, axis=-1, out=q_out[a:b])
     return p_out, q_out
+
+
+def _check_out(out, shape: tuple) -> None:
+    """ConfigError unless `out` is a writeable C-contiguous complex128 array
+    of `shape`: the in-place sums and transforms need all four."""
+    if not (isinstance(out, np.ndarray) and out.dtype == np.complex128
+            and out.shape == tuple(shape) and out.flags.c_contiguous
+            and out.flags.writeable):
+        raise ConfigError(f"out must be a writeable C-contiguous complex128 array of "
+                          f"shape {tuple(shape)}, got {getattr(out, 'dtype', type(out))} "
+                          f"{np.shape(out)}")
 
 
 def _check_noise(noise, dt: float, n_steps: int, batch: tuple) -> None:
@@ -541,8 +564,8 @@ def wave_field(p: np.ndarray, q: np.ndarray, disp: DispersionRelation,
     rfft/irfft pair on the grid {j/N}, j = 0..N/2, written straight into
     psi.real, and psi.imag is p exactly.  The pair runs on _WAVE_ROWS rows
     at a time, so the working memory beyond psi is one small spectrum.
-    psi is written into `out` when given, a C-contiguous complex array
-    shaped like p.  That may be the array q + ip itself, with p and q its
+    psi is written into `out` when given, a C-contiguous complex128 array
+    shaped like p (or ConfigError).  That may be the array q + ip itself, with p and q its
     .imag and .real views, as `run_vacuum_ensemble` returns them: each tile
     of rows is transformed before its irfft overwrites it, so psi is built
     in place with nothing beyond the spectrum (0.13 MB at N = 256), where a
@@ -551,6 +574,8 @@ def wave_field(p: np.ndarray, q: np.ndarray, disp: DispersionRelation,
     k-sum by evenness).
     """
     N = p.shape[-1]
+    if out is not None:
+        _check_out(out, np.shape(p))
     omega = disp.omega(np.arange(N // 2 + 1) / N)
     psi = np.empty(np.shape(p), dtype=complex) if out is None else out
     psi.imag = p

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (_STABILITY_MARGIN, EnsembleNoise, ThermostatParams,
-                       dump_snapshots, run_direct, run_vacuum_ensemble,
+                       _check_out, dump_snapshots, run_direct, run_vacuum_ensemble,
                        run_zero_temperature, site_coordinates, wave_field,
                        wave_field_hat)
 from .errors import ConfigError, InvalidRunError
@@ -339,17 +339,20 @@ def run_thermal_ensemble(kernel, disp, params: ThermostatParams, N: int, dt: flo
     Path i draws its noise from the Philox key seed0 + i, and the
     initial-condition stream is disjoint from the noise keys.  An ensemble
     that starts from vacuum and takes no snapshots is one
-    `run_vacuum_ensemble`: the paths' increments times the integrator's own
-    impulse response, so the batch is never stepped and `threads` is not
-    used.  A Gibbs start (at `gibbs_temperature`) or a `snapshot_fn` needs
-    every path's state along the way, so those ensembles are chunked across
-    a pool of `threads` workers, each integrating its chunk with
-    `run_direct` in place, in a row slice of the output arrays.  Results do
-    not depend on the thread count.  Returns the final (p, q) arrays, plus
-    per-chunk snapshot lists in path order.  With `out`, a C-contiguous
-    complex (n_paths, N) array, the state is written there as q + ip and
-    p, q are its .imag and .real views, ready for an in-place `wave_field`.
+    `run_vacuum_ensemble`: the paths' increments times the integrator's
+    impulse response, whose rows come from the ring's law in closed form,
+    so nothing is stepped and `threads` is not used.  A Gibbs start (at
+    `gibbs_temperature`) or a `snapshot_fn` needs every path's state along
+    the way, so those ensembles are chunked across a pool of `threads`
+    workers, each integrating its chunk with `run_direct` in place, in a
+    row slice of the output arrays.  Results do not depend on the thread
+    count.  Returns the final (p, q) arrays, plus per-chunk snapshot lists
+    in path order.  With `out`, a C-contiguous complex128 (n_paths, N)
+    array (or ConfigError), the state is written there as q + ip and p, q
+    are its .imag and .real views, ready for an in-place `wave_field`.
     """
+    if out is not None:
+        _check_out(out, (n_paths, N))
     driven = params.gamma > 0 and params.temperature > 0
     if gibbs_temperature is None and snapshot_fn is None:
         noise = EnsembleNoise(seed0, n_paths, dt) if driven else None

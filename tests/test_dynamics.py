@@ -10,7 +10,8 @@ from phonon_scatter import (ChainState, ConfigError, CouplingKernel,
                             run_direct, run_vacuum_ensemble, run_zero_temperature,
                             sample_initial, site_coordinates, state_from_wave_field,
                             wave_field, wave_field_hat)
-from phonon_scatter.dynamics import alpha_hat_rfft
+from phonon_scatter import dynamics
+from phonon_scatter.dynamics import _RingLaw, alpha_hat_rfft
 
 
 def _energy(p, q, kernel):
@@ -427,6 +428,73 @@ def test_vacuum_ensemble_matches_batch_run_direct(disp_unpinned, disp_pinned, pi
     assert _max_state_diff((pv, qv), (p, q)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("pinned", [False, True])
+def test_ring_law_rows_match_a_noise_free_march(disp_unpinned, disp_pinned, pinned):
+    # the vacuum ensemble's impulse rows, eight blocks of 256 from g_0, row
+    # by row against run_direct stepping the same ring; on the unpinned
+    # ring the zero mode's s_j = j grows with j
+    disp = disp_pinned if pinned else disp_unpinned
+    ker, gamma, N, n, dt = disp.kernel, 1.0, 32, 2000, 0.05
+    law = _RingLaw(ker, gamma, dt, N)
+    K = N // 2 + 1
+    # g_0: one step from rest with a unit increment, scale (cos theta, dt) per mode
+    p, q = np.zeros(N), np.zeros(N)
+    run_direct(p, q, ker, disp, ThermostatParams(gamma, 1.0), dt, 1, noise=np.ones(1))
+    scale = np.sqrt(1.0 - np.exp(-2.0 * gamma * dt)) / np.sqrt(dt)
+    z = scale * law.cos1, np.full(K, scale * dt)
+    assert _relative_diff((p, q), tuple(np.fft.irfft(x, n=N) for x in z)) <= 1e-15
+    march = [(p.copy(), q.copy())] + _direct_with_states(
+        p, q, ker, disp, ThermostatParams(gamma, 0.0), dt, n - 1, 1)
+    rows = np.empty((256, 2 * K))
+    for j0 in range(0, n, 256):
+        count = min(256, n - j0)
+        law.rows(*z, count, out=rows[:count])
+        for i in range(count):
+            row = np.fft.irfft(rows[i, :K], n=N), np.fft.irfft(rows[i, K:], n=N)
+            assert _relative_diff(march[j0 + i], row) <= 1e-12
+        z = law.advance(*z, count)
+
+
+def test_vacuum_ensemble_steps_nothing(disp_unpinned, monkeypatch):
+    # the rows come from the ring's law, not from run_direct
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_vacuum_ensemble stepped run_direct")
+
+    monkeypatch.setattr(dynamics, "run_direct", refuse)
+    params = ThermostatParams(1.0, 0.5)
+    p, q = run_vacuum_ensemble(nn_unpinned(), disp_unpinned, params, 32, 0.05, 600, 5,
+                               EnsembleNoise(1, 5, 0.05))
+    assert p.any() and q.any()
+
+
+def _read_only_out():
+    out = np.zeros((5, 32), dtype=complex)
+    out.flags.writeable = False
+    return out
+
+
+# out= arrays that do not fit an (M, N) = (5, 32) ensemble: three paths too
+# many, real, F-ordered, read-only
+_BAD_OUT = {
+    "complex_too_many_rows": lambda: np.zeros((8, 32), dtype=complex),
+    "real": lambda: np.zeros((5, 32)),
+    "f_ordered": lambda: np.zeros((5, 32), dtype=complex, order="F"),
+    "read_only": _read_only_out,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_OUT))
+def test_vacuum_ensemble_and_wave_field_refuse_an_out_that_does_not_fit(disp_unpinned,
+                                                                      case):
+    params = ThermostatParams(1.0, 0.5)
+    with pytest.raises(ConfigError, match="out must be"):
+        run_vacuum_ensemble(nn_unpinned(), disp_unpinned, params, 32, 0.05, 20, 5,
+                            EnsembleNoise(1, 5, 0.05), out=_BAD_OUT[case]())
+    p, q = np.zeros((5, 32)), np.zeros((5, 32))
+    with pytest.raises(ConfigError, match="out must be"):
+        wave_field(p, q, disp_unpinned, out=_BAD_OUT[case]())
+
+
 def test_vacuum_ensemble_noise_and_rest(disp_unpinned):
     ker = nn_unpinned()
     params = ThermostatParams(1.0, 0.5)
@@ -447,9 +515,10 @@ def test_vacuum_ensemble_noise_and_rest(disp_unpinned):
 
 def test_vacuum_ensemble_working_memory(disp_unpinned, traced_peak_mb):
     # the benchmark's production ensemble: the result (3.3 MB), one block
-    # of response rows (1.0 MB), one tile product (0.26 MB) and one tile of
-    # noise (0.13 MB) measure 4.7 MB; every row of the response would be
-    # 7.9 MB and all of the noise 12.3 MB
+    # of response rows as real mode spectra (0.53 MB), one tile product
+    # (0.13 MB), one tile of noise (0.13 MB) and the rows' 16-mode cos/sin
+    # tables measure 4.5 MB; every row of the response in site space would
+    # be 7.9 MB and all of the noise 12.3 MB
     N, M, n, dt = 256, 800, 1920, 0.04
     params = ThermostatParams(1.0, 1.0)
     # a first transform of length N sets up numpy's FFT plan: not counted

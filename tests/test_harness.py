@@ -213,13 +213,34 @@ def test_vacuum_ensemble_takes_the_impulse_response_at_any_thread_count():
         assert np.array_equal(p1, p) and np.array_equal(q1, q)
 
 
+@pytest.mark.parametrize("gibbs", [None, 0.7])
+@pytest.mark.parametrize("case", ["complex_too_many_rows", "real", "f_ordered"])
+def test_thermal_ensemble_refuses_an_out_that_does_not_fit(gibbs, case):
+    # an (M + 3, N) array would hand back three all-zero paths, a real one
+    # has no imaginary part to hold p, and the in-place sums need C order
+    from phonon_scatter import DispersionRelation, ThermostatParams, nn_unpinned
+    from phonon_scatter.harness import run_thermal_ensemble
+
+    ker = nn_unpinned()
+    disp = DispersionRelation(ker)
+    N, M = 32, 5
+    out = {"complex_too_many_rows": np.zeros((M + 3, N), dtype=complex),
+           "real": np.zeros((M, N)),
+           "f_ordered": np.zeros((M, N), dtype=complex, order="F")}[case]
+    with pytest.raises(ConfigError, match="out must be"):
+        run_thermal_ensemble(ker, disp, ThermostatParams(1.0, 0.5), N, 0.05, 20, M, 1,
+                             gibbs_temperature=gibbs, out=out)
+
+
 def test_production_ensemble_and_wave_field_share_one_array(traced_peak_mb):
     # the benchmark's production route: 800 paths on 256 sites accumulate
-    # in psi's storage (3.3 MB) and become psi in place.  It measures 5.4 MB:
-    # that array, one block of response rows (1.0 MB), one tile product
-    # (0.26 MB), one tile of noise (0.13 MB) and the paths' generators.
-    # Separate (p, q) with a new psi measure 6.8 MB, and a whole 800-path
-    # noise block would add 1.5 MB.
+    # their mode spectra in psi's storage (3.3 MB), which becomes q + ip and
+    # then psi in place.  It measures 5.0 MB: that array, one block of
+    # response rows as real mode spectra (0.53 MB), one tile product
+    # (0.13 MB), one tile of noise (0.13 MB), the rows' 16-mode cos/sin
+    # tables and the paths' generators.  Site-space rows would measure 5.4 MB,
+    # separate (p, q) with a new psi 6.8 MB, and a whole 800-path noise
+    # block would add 1.5 MB.
     from phonon_scatter import (DispersionRelation, EnsembleNoise, ThermostatParams,
                                 nn_unpinned, run_vacuum_ensemble, wave_field)
     from phonon_scatter.harness import run_thermal_ensemble
