@@ -14,11 +14,9 @@ Output: demos/out/production.csv + console table
 import csv
 from pathlib import Path
 
-import numpy as np
-
 from phonon_scatter import (DispersionRelation, EnsembleNoise, ThermostatParams,
                             build_table, nn_unpinned, production_profile,
-                            run_vacuum_ensemble, wave_field)
+                            run_vacuum_ensemble)
 
 OUT = Path(__file__).parent / "out"
 
@@ -31,13 +29,11 @@ def main():
     N, M, T = 256, 400, 1.0
     dt, t_macro = 0.05, 0.3
     # from rest the chain is linear in the noise: the ensemble is the paths'
-    # increments times the integrator's impulse response, never stepped.  It
-    # accumulates in psi's storage as q + ip, and becomes psi in place.
-    psi = np.empty((M, N), dtype=complex)
-    p, q = run_vacuum_ensemble(ker, disp, ThermostatParams(1.0, T), N, dt,
-                               int(round(t_macro * N / dt)), M,
-                               noise=EnsembleNoise(11, M, dt), out=psi)
-    wave_field(p, q, disp, out=psi)
+    # increments times the integrator's impulse response, never stepped, and
+    # it comes back as the wave field psi = Omega q + ip
+    psi = run_vacuum_ensemble(ker, disp, ThermostatParams(1.0, T), N, dt,
+                              int(round(t_macro * N / dt)), M,
+                              noise=EnsembleNoise(11, M, dt))
     bins, notes = production_profile(psi, disp, table, T, t_macro,
                                      k_band=(0.15, 0.35), n_bins=6,
                                      min_samples=200)

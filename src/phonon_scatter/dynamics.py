@@ -42,8 +42,9 @@ steps).  `run_vacuum_ensemble` takes the impulse response g_j from the
 same law: the chain is linear and the noise enters additively at site 0,
 so each path's final state is its increments times g.  The rows' spectra
 are real, so one matrix product per block and tile of 64 paths sums them
-in mode space, in the first N+2 floats of each row of one complex array
-that then holds q + ip, and `wave_field` turns it into psi in place.
+in mode space, in the first N+2 floats of each row of the complex array
+that the ensemble returns, and one irfft pair per tile writes psi =
+Omega q + ip over them, omega applied to the summed q spectra.
 
 The second, independent route (zero temperature only) evolves the wave
 field spectrally: the free momentum history at site 0 is convolved with the
@@ -455,10 +456,10 @@ def run_zero_temperature(p: np.ndarray, q: np.ndarray, kernel: CouplingKernel,
 
 def run_vacuum_ensemble(kernel: CouplingKernel, disp: DispersionRelation,
                         params: ThermostatParams, N: int, dt: float, n_steps: int,
-                        n_paths: int, noise=None,
-                        out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Final (p, q), each (n_paths, N), of rings started at rest and
-    advanced n_steps by `run_direct` with `noise`, without stepping them.
+                        n_paths: int, noise=None) -> np.ndarray:
+    """Wave field psi = Omega q + ip, (n_paths, N) complex, of rings started
+    at rest and advanced n_steps by `run_direct` with `noise`, without
+    stepping them.
 
     Path by path the state is sum_m dw_m g_{n-1-m}: g_0 is one step from
     rest with a unit increment, scale (cos theta, dt) per mode with scale =
@@ -469,31 +470,28 @@ def run_vacuum_ensemble(kernel: CouplingKernel, disp: DispersionRelation,
     spectra, one product per tile of _PATH_TILE paths, the tile's noise
     drawn into one reused buffer.
 
-    The spectra are summed in the first N+2 floats of each row of one
-    complex (n_paths, N) array, `out` when given (complex128, C-contiguous,
-    or ConfigError), and an irfft pair per tile writes q + ip over them; p
-    and q are returned as its .imag and .real views.  Beyond it the working
-    memory is 0.8 MB for 800 paths on 256 sites.  `noise` is an
-    EnsembleNoise (None unless gamma > 0 and T > 0: the rings stay at
-    rest).  Agrees with a batch `run_direct` on the same noise to rounding.
+    The spectra are summed in the first N+2 floats of each row of psi.  In
+    the last block each tile's q spectra are scaled by omega(j/N), j =
+    0..N/2, and an irfft pair writes psi.real = Omega q and psi.imag = p
+    over them.  Beyond psi the working memory is 0.8 MB for 800 paths on
+    256 sites.  `noise` is an EnsembleNoise (None unless gamma > 0 and
+    T > 0: the rings stay at rest).  Agrees with `wave_field` of a batch
+    `run_direct` on the same noise to rounding.
     """
-    if out is not None:
-        _check_out(out, (n_paths, N))
     needs_noise = params.gamma > 0.0 and params.temperature > 0.0
     if needs_noise and not isinstance(noise, EnsembleNoise):
         raise ConfigError("gamma > 0 and T > 0 require an EnsembleNoise source")
     if noise is not None:
         _check_noise(noise, dt, n_steps, (n_paths,))
     _check_step(dt, disp)
-    state = np.empty((n_paths, N), dtype=complex) if out is None else out
-    state.fill(0.0)
-    p_out, q_out = state.imag, state.real
+    psi = np.zeros((n_paths, N), dtype=complex)
     if not needs_noise:
-        return p_out, q_out
+        return psi
     law = _RingLaw(kernel, params.gamma, dt, N)
     decay = np.exp(-params.gamma * dt)
     scale = np.sqrt(params.temperature * (1.0 - decay * decay)) / np.sqrt(dt)
     K = N // 2 + 1
+    omega = disp.omega(np.arange(K) / N)
     blocks = [(m0, min(m0 + _NOISE_BLOCK, n_steps))
               for m0 in range(0, n_steps, _NOISE_BLOCK)]
     # openings[i] opens the rows of blocks[-1 - i]: g_0, then block advances
@@ -502,7 +500,7 @@ def run_vacuum_ensemble(kernel: CouplingKernel, disp: DispersionRelation,
         openings.append(law.advance(*openings[-1], m1 - m0))
 
     # each path's (p, q) spectra, summed in the first 2K floats of its row
-    spectra = state.view(float)[:, : 2 * K]
+    spectra = psi.view(float)[:, : 2 * K]
     # a block's rows, a tile product and a tile of noise share one
     # workspace, allocated and released in one piece
     L, width = min(_NOISE_BLOCK, n_steps), min(_PATH_TILE, n_paths)
@@ -518,23 +516,13 @@ def run_vacuum_ensemble(kernel: CouplingKernel, disp: DispersionRelation,
             tile_dw = noise.block(count, (a, b), out=dw[:count, : b - a])
             spectra[a:b] += np.matmul(tile_dw.T, rows[:count], out=tile[: b - a])
             if m1 == n_steps:
-                # the tile's sums are complete: copied out before its irfft
-                # pair writes q + ip over them
+                # the tile's sums are complete: copied out, q's scaled by
+                # omega, before its irfft pair writes psi over them
                 tile[: b - a] = spectra[a:b]
-                np.fft.irfft(tile[: b - a, :K], n=N, axis=-1, out=p_out[a:b])
-                np.fft.irfft(tile[: b - a, K:], n=N, axis=-1, out=q_out[a:b])
-    return p_out, q_out
-
-
-def _check_out(out, shape: tuple) -> None:
-    """ConfigError unless `out` is a writeable C-contiguous complex128 array
-    of `shape`: the in-place sums and transforms need all four."""
-    if not (isinstance(out, np.ndarray) and out.dtype == np.complex128
-            and out.shape == tuple(shape) and out.flags.c_contiguous
-            and out.flags.writeable):
-        raise ConfigError(f"out must be a writeable C-contiguous complex128 array of "
-                          f"shape {tuple(shape)}, got {getattr(out, 'dtype', type(out))} "
-                          f"{np.shape(out)}")
+                tile[: b - a, K:] *= omega
+                np.fft.irfft(tile[: b - a, :K], n=N, axis=-1, out=psi.imag[a:b])
+                np.fft.irfft(tile[: b - a, K:], n=N, axis=-1, out=psi.real[a:b])
+    return psi
 
 
 def _check_noise(noise, dt: float, n_steps: int, batch: tuple) -> None:
@@ -555,8 +543,7 @@ def _check_noise(noise, dt: float, n_steps: int, batch: tuple) -> None:
         raise ConfigError(f"unsupported noise source {type(noise)!r}")
 
 
-def wave_field(p: np.ndarray, q: np.ndarray, disp: DispersionRelation,
-               out: np.ndarray | None = None) -> np.ndarray:
+def wave_field(p: np.ndarray, q: np.ndarray, disp: DispersionRelation) -> np.ndarray:
     """Complex wave field psi = Omega q + i p, whose DFT is
     psi_hat(k) = omega(k) q_hat(k) + i p_hat(k).
 
@@ -564,20 +551,12 @@ def wave_field(p: np.ndarray, q: np.ndarray, disp: DispersionRelation,
     rfft/irfft pair on the grid {j/N}, j = 0..N/2, written straight into
     psi.real, and psi.imag is p exactly.  The pair runs on _WAVE_ROWS rows
     at a time, so the working memory beyond psi is one small spectrum.
-    psi is written into `out` when given, a C-contiguous complex128 array
-    shaped like p (or ConfigError).  That may be the array q + ip itself, with p and q its
-    .imag and .real views, as `run_vacuum_ensemble` returns them: each tile
-    of rows is transformed before its irfft overwrites it, so psi is built
-    in place with nothing beyond the spectrum (0.13 MB at N = 256), where a
-    new psi for the benchmark's 800 paths is 3.3 MB.  sum |psi_y|^2 equals
-    twice the Hamiltonian exactly (the omega cross term cancels in the
-    k-sum by evenness).
+    sum |psi_y|^2 equals twice the Hamiltonian exactly (the omega cross
+    term cancels in the k-sum by evenness).
     """
     N = p.shape[-1]
-    if out is not None:
-        _check_out(out, np.shape(p))
     omega = disp.omega(np.arange(N // 2 + 1) / N)
-    psi = np.empty(np.shape(p), dtype=complex) if out is None else out
+    psi = np.empty(np.shape(p), dtype=complex)
     psi.imag = p
     q_rows, psi_rows = np.reshape(q, (-1, N)), psi.reshape(-1, N)
     for a in range(0, len(q_rows), _WAVE_ROWS):

@@ -32,10 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (_STABILITY_MARGIN, EnsembleNoise, ThermostatParams,
-                       _check_out, dump_snapshots, run_direct, run_vacuum_ensemble,
-                       run_zero_temperature, site_coordinates, wave_field,
-                       wave_field_hat)
+from .dynamics import (EnsembleNoise, ThermostatParams, _check_step, dump_snapshots,
+                       run_direct, run_vacuum_ensemble, run_zero_temperature,
+                       site_coordinates, wave_field, wave_field_hat)
 from .errors import ConfigError, InvalidRunError
 from .kinetics import (CosineBumpSquaredProfile, LimitSolution, SeparableInitialData,
                        boundary_residual, equilibrium_initial_data,
@@ -72,8 +71,7 @@ _SCATTERING = {**_LATTICE,
                "packet": ({"x_center": (float, REQUIRED), "k_center": (float, REQUIRED),
                            "width": (float, REQUIRED), "envelope": (str, "cosine"),
                            "phase_random": (bool, True)}, REQUIRED),
-               "window_halfwidth": (float, 0.1), "fraction_tolerance": (float, 0.05),
-               "dump_state": (bool, False)}
+               "fraction_tolerance": (float, 0.05), "dump_state": (bool, False)}
 KEYS = {name: {**_COMMON, **keys} for name, keys in {
     "coefficients": {"cross_oracle_stride": (int, 1)},
     "scattering": _SCATTERING,
@@ -210,10 +208,7 @@ def _n_steps(cfg: dict, disp, N) -> int:
     _require(isinstance(N, int) and N > 0 and not (N & (N - 1)),
              "N must be a positive power of two")
     dt = cfg["dt"]
-    _require(dt > 0, "dt must be positive")
-    _require(dt * disp.omega_max < _STABILITY_MARGIN,
-             f"dt*omega_max = {dt * disp.omega_max:.3f} violates the stability "
-             f"margin {_STABILITY_MARGIN}")
+    _check_step(dt, disp)
     _require(cfg["t_macro"] > 0, "t_macro must be positive")
     n_steps = int(round(cfg["t_macro"] * N / dt))
     _require(n_steps >= 1, f"t_macro*N/dt = {cfg['t_macro'] * N / dt:.3g} rounds to "
@@ -277,8 +272,7 @@ def _one_scattering_run(cfg: dict, kernel, disp, k_center: float, state,
             f"wraparound guard tripped: seam energy fraction {seam_max:.2e} "
             f"exceeds {SEAM_GUARD_FRACTION:.0e} at N={N}"
         )
-    fr = scattering_fractions(psi, disp, k_center, e0,
-                              window_halfwidth=cfg["window_halfwidth"])
+    fr = scattering_fractions(psi, disp, k_center, e0)
     return fr, seam_max
 
 
@@ -333,39 +327,32 @@ def run_scattering(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> 
 def run_thermal_ensemble(kernel, disp, params: ThermostatParams, N: int, dt: float,
                          n_steps: int, n_paths: int, seed0: int, threads: int = 1,
                          gibbs_temperature: float | None = None,
-                         snapshot_every: int = 0, snapshot_fn=None, out=None):
-    """Integrate n_paths thermostatted chains.
+                         snapshot_every: int = 0, snapshot_fn=None):
+    """Integrate n_paths thermostatted chains; return the final wave field
+    psi = Omega q + ip, (n_paths, N) complex, and the snapshots.
 
     Path i draws its noise from the Philox key seed0 + i, and the
     initial-condition stream is disjoint from the noise keys.  An ensemble
     that starts from vacuum and takes no snapshots is one
     `run_vacuum_ensemble`: the paths' increments times the integrator's
     impulse response, whose rows come from the ring's law in closed form,
-    so nothing is stepped and `threads` is not used.  A Gibbs start (at
-    `gibbs_temperature`) or a `snapshot_fn` needs every path's state along
-    the way, so those ensembles are chunked across a pool of `threads`
-    workers, each integrating its chunk with `run_direct` in place, in a
-    row slice of the output arrays.  Results do not depend on the thread
-    count.  Returns the final (p, q) arrays, plus per-chunk snapshot lists
-    in path order.  With `out`, a C-contiguous complex128 (n_paths, N)
-    array (or ConfigError), the state is written there as q + ip and p, q
-    are its .imag and .real views, ready for an in-place `wave_field`.
+    so nothing is stepped, `threads` is not used and there are no
+    snapshots.  A Gibbs start (at `gibbs_temperature`) or a `snapshot_fn`
+    needs every path's state along the way, so those ensembles are chunked
+    across a pool of `threads` workers, each integrating its chunk with
+    `run_direct` in place, in a row slice of the ensemble's (p, q).  Each
+    snapshot is one array, the chunks' `snapshot_fn` outputs concatenated
+    along the path axis in path order.  Results do not depend on the
+    thread count.
     """
-    if out is not None:
-        _check_out(out, (n_paths, N))
     driven = params.gamma > 0 and params.temperature > 0
     if gibbs_temperature is None and snapshot_fn is None:
         noise = EnsembleNoise(seed0, n_paths, dt) if driven else None
-        p, q = run_vacuum_ensemble(kernel, disp, params, N, dt, n_steps, n_paths, noise,
-                                   out=out)
-        return p, q, [[]]
+        return run_vacuum_ensemble(kernel, disp, params, N, dt, n_steps, n_paths,
+                                   noise), []
     bounds = np.linspace(0, n_paths, threads + 1).astype(int)
     chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if out is None:
-        p_out, q_out = np.zeros((n_paths, N)), np.zeros((n_paths, N))
-    else:
-        out.fill(0.0)
-        p_out, q_out = out.imag, out.real
+    p_out, q_out = np.zeros((n_paths, N)), np.zeros((n_paths, N))
 
     def work(bounds_pair):
         a, b = bounds_pair
@@ -378,15 +365,16 @@ def run_thermal_ensemble(kernel, disp, params: ThermostatParams, N: int, dt: flo
         return [] if traj is None else traj.snapshots
 
     if threads == 1:
-        snaps = [work(c) for c in chunks]
+        per_chunk = [work(c) for c in chunks]
     else:
         # imported here: only these ensembles use a pool, and the import
         # brings in logging, which no other experiment needs
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            snaps = list(pool.map(work, chunks))
-    return p_out, q_out, snaps
+            per_chunk = list(pool.map(work, chunks))
+    snapshots = [np.concatenate(snap, axis=0) for snap in zip(*per_chunk)]
+    return wave_field(p_out, q_out, disp), snapshots
 
 
 # -- experiment: production ----------------------------------------------------
@@ -407,12 +395,8 @@ def run_production(cfg: dict, kernel, disp, report: RunReport, outdir: Path) -> 
     M = cfg["ensemble"]["paths"]
     table = _table(cfg, disp)
     params = ThermostatParams(cfg["gamma"], T)
-    # the ensemble accumulates in psi's storage as q + ip, and becomes
-    # psi = Omega q + ip in place: one (M, N) complex array for both
-    psi = np.empty((M, N), dtype=complex)
-    p, q, _ = run_thermal_ensemble(kernel, disp, params, N, cfg["dt"], n_steps,
-                                   M, cfg["seed"], threads=cfg["threads"], out=psi)
-    wave_field(p, q, disp, out=psi)
+    psi, _ = run_thermal_ensemble(kernel, disp, params, N, cfg["dt"], n_steps, M,
+                                  cfg["seed"], threads=cfg["threads"])
     bins, warnings = production_profile(psi, disp, table, T, cfg["t_macro"],
                                         k_band=tuple(cfg["k_band"]),
                                         n_bins=cfg["n_bins"],
@@ -440,11 +424,10 @@ def run_equilibrium(cfg: dict, kernel, disp, report: RunReport, outdir: Path) ->
     n_steps = _n_steps(cfg, disp, N)
     stride = max(1, n_steps // cfg["records"])
     params = ThermostatParams(cfg["gamma"], T)
-    p, q, snaps = run_thermal_ensemble(
+    _, snaps = run_thermal_ensemble(
         kernel, disp, params, N, cfg["dt"], n_steps, cfg["ensemble"]["paths"],
         cfg["seed"], threads=cfg["threads"], gibbs_temperature=T,
         snapshot_every=stride, snapshot_fn=lambda p, q: wave_field_hat(p, q, disp))
-    n_snaps = min(len(s) for s in snaps)
     delta = cfg["table"]["delta_excl"]
     k = wavenumber_grid(N)
     keep = disp.distance_to_stationary(k) > delta
@@ -454,8 +437,7 @@ def run_equilibrium(cfg: dict, kernel, disp, report: RunReport, outdir: Path) ->
     rows = []
     worst = 0.0
     eps = 1.0 / N
-    for snap_idx in range(n_snaps):
-        psi_hat = np.concatenate([s[snap_idx] for s in snaps], axis=0)
+    for snap_idx, psi_hat in enumerate(snaps):
         density = 0.5 * eps * np.abs(psi_hat) ** 2  # per path, per mode
         for lo, hi in zip(edges[:-1], edges[1:]):
             sel = keep & (k >= lo) & (k < hi)
@@ -474,8 +456,7 @@ def run_equilibrium(cfg: dict, kernel, disp, report: RunReport, outdir: Path) ->
     _write_csv(outdir / "equilibrium.csv",
                ["record", "k_lo", "k_hi", "mean_density", "stderr", "sigmas"], rows)
     # final-record spectral density on the raw grid, with the constant limit
-    final_hat = np.concatenate([s[n_snaps - 1] for s in snaps], axis=0)
-    est = wigner_estimate(final_hat, eps, eta_max=0)
+    est = wigner_estimate(snaps[-1], eps, eta_max=0)
     est.export_csv(outdir / "wigner_eta0.csv", limit=lambda k: T)
 
 

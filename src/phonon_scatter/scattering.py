@@ -256,8 +256,10 @@ def build_table(disp: DispersionRelation, gamma: float, n_k: int = 512,
     nu and the coefficients are even in k, so they are computed on k > 0
     and mirrored onto k < 0; the grid's negation symmetry is checked first.
     Any identity violation above tolerance aborts construction, naming the
-    offending wavenumber.
+    offending wavenumber.  A negative gamma is a ConfigError.
     """
+    if gamma < 0:
+        raise ConfigError("gamma must be >= 0")
     k_grid = table_grid(disp, n_k, delta_excl)
     half = k_grid.size // 2
     k_pos = k_grid[half:]

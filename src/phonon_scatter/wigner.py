@@ -29,6 +29,8 @@ from .dynamics import site_coordinates
 
 # energy fraction allowed to remain inside the interface window
 _INTERFACE_TOLERANCE = 0.01
+# macroscopic half-width of the interface window |x| < _WINDOW_HALFWIDTH
+_WINDOW_HALFWIDTH = 0.1
 # a production bin's window covers x in [_WEDGE[0] v t, _WEDGE[1] v t]: the
 # wedge with its ends, near the interface and near the front, left out
 _WEDGE = (0.1, 0.9)
@@ -162,16 +164,16 @@ class ScatteringFractions:
 
 def scattering_fractions(psi: np.ndarray, disp: DispersionRelation,
                          k_center: float, initial_energy: float,
-                         window_halfwidth: float = 0.1,
                          mask_halfwidth: float | None = None) -> ScatteringFractions:
     """Split the final wave field's energy into transmitted / reflected /
     absorbed fractions of the initial energy.
 
     The field is first restricted spectrally with smooth masks around
     +-k_center (half-width 16/N by default), then summed over the spatial
-    half-lines beyond the interface window.  Absorption is the complement.
-    Raises InvalidRunError when more than _INTERFACE_TOLERANCE of the
-    energy is still within the window (the packet has not fully crossed).
+    half-lines beyond the interface window |x| < _WINDOW_HALFWIDTH.
+    Absorption is the complement.  Raises InvalidRunError when more than
+    _INTERFACE_TOLERANCE of the energy is still within the window (the
+    packet has not fully crossed).
     """
     N = psi.shape[-1]
     if mask_halfwidth is None:
@@ -182,17 +184,17 @@ def scattering_fractions(psi: np.ndarray, disp: DispersionRelation,
     psi_hat = np.fft.fft(psi)
 
     residual = eps * np.sum(
-        np.abs(psi[np.abs(x) < window_halfwidth]) ** 2) / initial_energy
+        np.abs(psi[np.abs(x) < _WINDOW_HALFWIDTH]) ** 2) / initial_energy
     if residual > _INTERFACE_TOLERANCE:
         raise InvalidRunError(
             f"{residual:.1%} of the initial energy still inside |x| < "
-            f"{window_halfwidth}; increase t_macro"
+            f"{_WINDOW_HALFWIDTH}; increase t_macro"
         )
 
     def masked_energy(k0: float, side: int) -> float:
         mask = flat_top_mask(k, k0, mask_halfwidth)
         field = np.fft.ifft(mask * psi_hat)
-        sel = x > window_halfwidth if side > 0 else x < -window_halfwidth
+        sel = x > _WINDOW_HALFWIDTH if side > 0 else x < -_WINDOW_HALFWIDTH
         return eps * float(np.sum(np.abs(field[sel]) ** 2))
 
     sign = 1.0 if disp.group_velocity(k_center) > 0 else -1.0

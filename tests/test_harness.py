@@ -89,25 +89,32 @@ def test_wraparound_guard_flags_run(tmp_path):
     assert rep.invalid and not rep.passed
 
 
-def test_production_threads_invariance(tmp_path):
+def test_production_notes_bins_below_the_sample_target(tmp_path):
     cfg = {"experiment": "production", "kernel": "nn_unpinned", "gamma": 1.0,
            "temperature": 1.0, "N": 128, "dt": 0.05, "t_macro": 0.25, "seed": 7,
            "ensemble": {"paths": 60}, "min_samples": 100, "n_bins": 3,
            "k_band": [0.18, 0.33], "plateau_ratio_tolerance": 0.5,
            "table": BASE_TABLE}
-    rep1 = run_experiment({**cfg, "threads": 1}, tmp_path / "t1")
-    rep2 = run_experiment({**cfg, "threads": 3}, tmp_path / "t3")
-    assert (tmp_path / "t1/production.csv").read_bytes() == \
-        (tmp_path / "t3/production.csv").read_bytes()
-    assert rep1.notes and "below the target" in rep1.notes[0]
+    rep = run_experiment(cfg, tmp_path)
+    assert rep.notes and "below the target" in rep.notes[0]
+
+
+EQUILIBRIUM_SMALL = {"experiment": "equilibrium", "kernel": "nn_unpinned", "gamma": 1.0,
+                     "temperature": 1.0, "N": 128, "dt": 0.05, "t_macro": 0.5, "seed": 3,
+                     "ensemble": {"paths": 64}, "n_bins": 12, "records": 2,
+                     "table": BASE_TABLE}
+
+
+def test_equilibrium_threads_invariance(tmp_path):
+    # equilibrium is the experiment whose ensemble runs on the worker pool
+    for threads in (1, 3):
+        run_experiment({**EQUILIBRIUM_SMALL, "threads": threads}, tmp_path / f"t{threads}")
+    for name in ("equilibrium.csv", "wigner_eta0.csv"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t3" / name).read_bytes()
 
 
 def test_equilibrium_small(tmp_path):
-    cfg = {"experiment": "equilibrium", "kernel": "nn_unpinned", "gamma": 1.0,
-           "temperature": 1.0, "N": 128, "dt": 0.05, "t_macro": 0.5, "seed": 3,
-           "ensemble": {"paths": 64}, "n_bins": 12, "records": 2,
-           "table": BASE_TABLE}
-    rep = run_experiment(cfg, tmp_path)
+    rep = run_experiment(EQUILIBRIUM_SMALL, tmp_path)
     assert any(c.name == "stationarity_worst_sigma" for c in rep.checks)
     assert rep.passed
 
@@ -152,9 +159,10 @@ def test_snapshot_dump_refuses_an_empty_list(tmp_path):
 def test_thermal_ensemble_in_place_matches_per_chunk_runs(gibbs):
     # 7 paths over 3 threads make chunks of 2, 2 and 3 rows; 300 steps
     # cross a noise block.  The rows integrated in place must carry the
-    # bits of one run_direct call per chunk, at any thread count.
+    # bits of one run_direct call per chunk, at any thread count, and each
+    # snapshot is one array with the chunks in path order.
     from phonon_scatter import (DispersionRelation, EnsembleNoise, ThermostatParams,
-                                gibbs_ensemble, nn_unpinned, run_direct)
+                                gibbs_ensemble, nn_unpinned, run_direct, wave_field)
     from phonon_scatter.harness import run_thermal_ensemble
 
     ker = nn_unpinned()
@@ -167,19 +175,13 @@ def test_thermal_ensemble_in_place_matches_per_chunk_runs(gibbs):
                                     gibbs_temperature=gibbs, snapshot_every=100,
                                     snapshot_fn=lambda p, q: p.copy())
 
-    p1, q1, s1 = ensemble(1)
-    p3, q3, s3 = ensemble(3)
-    assert np.array_equal(p1, p3) and np.array_equal(q1, q3)
-    # the state written into complex storage, q + ip, carries the same bits
-    psi = np.full((M, N), np.nan, dtype=complex)
-    p, q, _ = run_thermal_ensemble(ker, disp, params, N, dt, n, M, seed, threads=3,
-                                   gibbs_temperature=gibbs, snapshot_every=100,
-                                   snapshot_fn=lambda p, q: p.copy(), out=psi)
-    assert np.array_equal(psi.imag, p1) and np.array_equal(psi.real, q1)
-    assert np.shares_memory(p, psi) and np.shares_memory(q, psi)
-    assert np.array_equal(np.concatenate(s1[0], axis=1),
-                          np.concatenate([np.concatenate(s, axis=1) for s in s3]))
-    for (a, b), snaps in zip([(0, 2), (2, 4), (4, 7)], s3):
+    psi1, s1 = ensemble(1)
+    psi3, s3 = ensemble(3)
+    assert np.array_equal(psi1, psi3)
+    assert len(s1) == len(s3) == 3
+    assert all(x.shape == (M, N) and np.array_equal(x, y) for x, y in zip(s1, s3))
+    p_all, q_all = np.empty((M, N)), np.empty((M, N))
+    for a, b in [(0, 2), (2, 4), (4, 7)]:
         if gibbs is None:
             p, q = np.zeros((b - a, N)), np.zeros((b - a, N))
         else:
@@ -187,9 +189,10 @@ def test_thermal_ensemble_in_place_matches_per_chunk_runs(gibbs):
         traj = run_direct(p, q, ker, disp, params, dt, n,
                           noise=EnsembleNoise(seed + a, b - a, dt), snapshot_every=100,
                           snapshot_fn=lambda p, q: p.copy())
-        assert np.array_equal(p, p3[a:b]) and np.array_equal(q, q3[a:b])
-        assert len(traj.snapshots) == len(snaps) == 3
-        assert all(np.array_equal(x, y) for x, y in zip(traj.snapshots, snaps))
+        p_all[a:b], q_all[a:b] = p, q
+        assert len(traj.snapshots) == 3
+        assert all(np.array_equal(x, y[a:b]) for x, y in zip(traj.snapshots, s3))
+    assert np.array_equal(psi3, wave_field(p_all, q_all, disp))
 
 
 def test_vacuum_ensemble_takes_the_impulse_response_at_any_thread_count():
@@ -203,46 +206,24 @@ def test_vacuum_ensemble_takes_the_impulse_response_at_any_thread_count():
     disp = DispersionRelation(ker)
     params = ThermostatParams(1.0, 0.5)
     N, dt, n, M, seed = 32, 0.05, 300, 70, 11
-    p1, q1, _ = run_thermal_ensemble(ker, disp, params, N, dt, n, M, seed, threads=1)
-    p3, q3, _ = run_thermal_ensemble(ker, disp, params, N, dt, n, M, seed, threads=3)
-    pv, qv = run_vacuum_ensemble(ker, disp, params, N, dt, n, M,
-                                 EnsembleNoise(seed, M, dt))
-    psi = np.full((M, N), np.nan, dtype=complex)
-    run_thermal_ensemble(ker, disp, params, N, dt, n, M, seed, out=psi)
-    for p, q in ((p3, q3), (pv, qv), (psi.imag, psi.real)):
-        assert np.array_equal(p1, p) and np.array_equal(q1, q)
-
-
-@pytest.mark.parametrize("gibbs", [None, 0.7])
-@pytest.mark.parametrize("case", ["complex_too_many_rows", "real", "f_ordered"])
-def test_thermal_ensemble_refuses_an_out_that_does_not_fit(gibbs, case):
-    # an (M + 3, N) array would hand back three all-zero paths, a real one
-    # has no imaginary part to hold p, and the in-place sums need C order
-    from phonon_scatter import DispersionRelation, ThermostatParams, nn_unpinned
-    from phonon_scatter.harness import run_thermal_ensemble
-
-    ker = nn_unpinned()
-    disp = DispersionRelation(ker)
-    N, M = 32, 5
-    out = {"complex_too_many_rows": np.zeros((M + 3, N), dtype=complex),
-           "real": np.zeros((M, N)),
-           "f_ordered": np.zeros((M, N), dtype=complex, order="F")}[case]
-    with pytest.raises(ConfigError, match="out must be"):
-        run_thermal_ensemble(ker, disp, ThermostatParams(1.0, 0.5), N, 0.05, 20, M, 1,
-                             gibbs_temperature=gibbs, out=out)
+    psi1, s1 = run_thermal_ensemble(ker, disp, params, N, dt, n, M, seed, threads=1)
+    psi3, s3 = run_thermal_ensemble(ker, disp, params, N, dt, n, M, seed, threads=3)
+    psiv = run_vacuum_ensemble(ker, disp, params, N, dt, n, M, EnsembleNoise(seed, M, dt))
+    assert s1 == s3 == []
+    assert np.array_equal(psi1, psi3) and np.array_equal(psi1, psiv)
 
 
 def test_production_ensemble_and_wave_field_share_one_array(traced_peak_mb):
     # the benchmark's production route: 800 paths on 256 sites accumulate
-    # their mode spectra in psi's storage (3.3 MB), which becomes q + ip and
-    # then psi in place.  It measures 5.0 MB: that array, one block of
-    # response rows as real mode spectra (0.53 MB), one tile product
-    # (0.13 MB), one tile of noise (0.13 MB), the rows' 16-mode cos/sin
-    # tables and the paths' generators.  Site-space rows would measure 5.4 MB,
-    # separate (p, q) with a new psi 6.8 MB, and a whole 800-path noise
-    # block would add 1.5 MB.
+    # their mode spectra in psi's storage (3.3 MB), which the last block's
+    # irfft pairs turn into psi = Omega q + ip.  It measures 5.0 MB: psi,
+    # one block of response rows as real mode spectra (0.53 MB), one tile
+    # product (0.13 MB), one tile of noise (0.13 MB), the rows' 16-mode
+    # cos/sin tables and the paths' generators.  Site-space rows would
+    # measure 5.4 MB, separate (p, q) with a new psi 6.8 MB, and a whole
+    # 800-path noise block would add 1.5 MB.
     from phonon_scatter import (DispersionRelation, EnsembleNoise, ThermostatParams,
-                                nn_unpinned, run_vacuum_ensemble, wave_field)
+                                nn_unpinned, run_vacuum_ensemble)
     from phonon_scatter.harness import run_thermal_ensemble
 
     ker = nn_unpinned()
@@ -251,14 +232,8 @@ def test_production_ensemble_and_wave_field_share_one_array(traced_peak_mb):
     N, M, dt, n = 256, 800, 0.04, 1920
     # a first transform of length N sets up numpy's FFT plan: not counted
     run_vacuum_ensemble(ker, disp, params, N, dt, 2, 1, EnsembleNoise(0, 1, dt))
-
-    def production_field():
-        psi = np.empty((M, N), dtype=complex)
-        p, q, _ = run_thermal_ensemble(ker, disp, params, N, dt, n, M, 1, threads=2,
-                                       out=psi)
-        wave_field(p, q, disp, out=psi)
-
-    assert traced_peak_mb(production_field) < 5.6
+    assert traced_peak_mb(lambda: run_thermal_ensemble(ker, disp, params, N, dt, n, M, 1,
+                                                       threads=2)) < 5.6
 
 
 def test_scattering_state_dump(tmp_path):
@@ -274,11 +249,7 @@ def test_scattering_state_dump(tmp_path):
 
 
 def test_equilibrium_wigner_export(tmp_path):
-    cfg = {"experiment": "equilibrium", "kernel": "nn_unpinned", "gamma": 1.0,
-           "temperature": 1.0, "N": 128, "dt": 0.05, "t_macro": 0.5, "seed": 3,
-           "ensemble": {"paths": 64}, "n_bins": 12, "records": 2,
-           "table": BASE_TABLE}
-    run_experiment(cfg, tmp_path)
+    run_experiment(EQUILIBRIUM_SMALL, tmp_path)
     lines = (tmp_path / "wigner_eta0.csv").read_text().splitlines()
     assert lines[0] == "eta,k,re,im,stderr,limit"
     assert len(lines) == 128 + 1
@@ -384,6 +355,11 @@ PRODUCTION = {"temperature": 1.0, "N": 128, "dt": 0.05, "t_macro": 0.25,
      ["zero steps"]),
     ("equilibrium", {**PRODUCTION, "t_macro": 1e-5}, ["zero steps"]),
     ("production", {**PRODUCTION, "t_macro": 1e-5}, ["zero steps"]),
+    # a negative friction: rejected before any table or dynamics is built
+    ("coefficients", {"gamma": -1.0, "table": BASE_TABLE}, ["gamma"]),
+    ("scattering", {**SCATTER_NO_PACKET, "packet": PACKET, "gamma": -1.0}, ["gamma"]),
+    ("production", {**PRODUCTION, "gamma": -1.0}, ["gamma"]),
+    ("transport_check", {"gamma": -1.0, "table": BASE_TABLE}, ["gamma"]),
 ])
 def test_cli_rejects_config_with_exit_2(tmp_path, capsys, command, cfg, named):
     path = _write_cfg(tmp_path, "cfg.json", cfg)
