@@ -58,6 +58,7 @@ SEAM_BAND = 1 / 8
 # of keys for a block.  REQUIRED means no default.  A block left out takes its
 # keys' defaults; one whose default is WHOLE must, when given, name every key.
 # An int key named in COUNTS must be >= 1: at 0 the experiment measures nothing.
+# `seed` must lie in [0, 2^64): it keys the Philox streams.
 
 REQUIRED = object()
 WHOLE = object()
@@ -129,6 +130,8 @@ def _typed(experiment: str, name: str, kind, value, whole: bool = False):
         raise wrong(" or ".join(t.__name__ for t in names))
     if name.rsplit(".", 1)[-1] in COUNTS and value < 1:
         raise wrong("an int >= 1")
+    if name == "seed" and not 0 <= value < 1 << 64:
+        raise wrong("an int in [0, 2**64)")
     return float(value) if kind is float else value
 
 

@@ -19,6 +19,11 @@ the equilibrium field, whose phase-space density reads the temperature
 directly.  The packet's initial density concentrates at (x - x_c) in the
 envelope support and k = k_c; its eta-transform inherits the envelope's
 Fourier decay (cosine-squared envelope: |W0_hat(eta)| ~ eta^{-5}).
+
+Theta is drawn from `init_rng(seed)`, a pure-Python Philox4x64-10 stream
+(Salmon et al., SC'11) whose uniform draws are bitwise those of
+np.random.Generator(np.random.Philox(key)) on the same key, so the packet
+path never imports numpy.random.
 """
 
 from __future__ import annotations
@@ -78,9 +83,12 @@ class WavePacketSpec:
 
 
 def sample_initial(spec: WavePacketSpec, N: int, disp: DispersionRelation,
-                   rng: np.random.Generator | None = None,
+                   rng: PhiloxStream | None = None,
                    delta_excl: float = 0.02) -> ChainState:
     """Realize the packet on an N-site ring as a (p, q) state.
+
+    A phase_random packet takes Theta = rng.uniform(0, 2 pi): one draw from
+    `init_rng`'s stream, or from any numpy Generator.
 
     Preconditions: the envelope support must fit inside the macroscopic
     window [-1/2, 1/2) with margin, k_center must keep clear of the
@@ -133,9 +141,46 @@ def gibbs_state(N: int, disp: DispersionRelation, temperature: float,
     return p, q
 
 
-def init_rng(seed0: int) -> np.random.Generator:
-    """Initial-condition stream, disjoint from the per-path keys seed0 + i."""
-    return np.random.Generator(np.random.Philox(key=(1 << 64) + int(seed0)))
+_MASK = (1 << 64) - 1
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+class PhiloxStream:
+    """Philox4x64-10 on a 128-bit key, drawing uniforms as numpy does.
+
+    The 256-bit counter goes up by one before each block of four words, a
+    block's words are used in order, and a uniform on [low, high) is
+    low + (high - low) (word >> 11) 2^-53: draw after draw the bits of
+    np.random.Generator(np.random.Philox(key=key)).uniform(low, high).
+    """
+
+    def __init__(self, key: int):
+        self._key, self._counter, self._block = (key & _MASK, key >> 64), 0, []
+
+    def _next64(self) -> int:
+        if not self._block:
+            self._counter += 1
+            c = self._counter
+            x0, x1, x2, x3 = c & _MASK, (c >> 64) & _MASK, (c >> 128) & _MASK, c >> 192
+            k0, k1 = self._key
+            for _ in range(10):
+                a, b = _PHILOX_M[0] * x0, _PHILOX_M[1] * x2
+                x0, x1, x2, x3 = (b >> 64) ^ x1 ^ k0, b & _MASK, (a >> 64) ^ x3 ^ k1, a & _MASK
+                k0, k1 = (k0 + _PHILOX_W[0]) & _MASK, (k1 + _PHILOX_W[1]) & _MASK
+            self._block = [x3, x2, x1, x0]
+        return self._block.pop()
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        return low + (high - low) * ((self._next64() >> 11) * 2.0 ** -53)
+
+
+def init_rng(seed0: int) -> PhiloxStream:
+    """Initial-condition stream on the key 2^64 + seed0, disjoint from the
+    per-path noise keys seed0 + i; seed0 must lie in [0, 2^64)."""
+    if not 0 <= seed0 <= _MASK:
+        raise ConfigError(f"seed must be an int in [0, 2**64), got {seed0!r}")
+    return PhiloxStream((1 << 64) + int(seed0))
 
 
 def path_init_rng(seed0: int, path_id: int) -> np.random.Generator:

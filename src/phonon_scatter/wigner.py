@@ -34,6 +34,8 @@ _WINDOW_HALFWIDTH = 0.1
 # a production bin's window covers x in [_WEDGE[0] v t, _WEDGE[1] v t]: the
 # wedge with its ends, near the interface and near the front, left out
 _WEDGE = (0.1, 0.9)
+# samples per product in windowed_k_density: a (64, |S|) copy of psi at a time
+_SAMPLE_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -227,8 +229,9 @@ def windowed_k_density(psi_samples: np.ndarray, chi: np.ndarray,
     Only the sites S with chi > 0 and the modes J with mask > 0 enter, so
     the DFT is restricted to that support: u_hat = (psi[:, S] chi[S]^{1/2})
     @ exp(-2 pi i S (x) J / N), one (M x |S|)(|S| x |J|) product costing
-    O(M |S| |J|) in place of M full FFTs.  An empty support raises
-    ConfigError.
+    O(M |S| |J|) in place of M full FFTs, taken _SAMPLE_TILE samples at a
+    time so that only a tile of psi[:, S] is ever copied.  An empty support
+    raises ConfigError.
     """
     M, N = psi_samples.shape
     eps = 1.0 / N
@@ -239,11 +242,15 @@ def windowed_k_density(psi_samples: np.ndarray, chi: np.ndarray,
         raise ConfigError("windowed_k_density: the k mask covers no k node")
     # exact phases: the exponent S*J is reduced mod N before the table lookup
     roots = np.exp(-2j * np.pi * np.arange(N) / N)
-    u = psi_samples[:, sites]
-    u *= np.sqrt(chi[sites])
-    power = np.abs(u @ roots[np.outer(sites, modes) % N])
-    np.square(power, out=power)
-    per_sample = (0.5 * eps / N) * (power @ mask[modes])
+    phases, weight = roots[np.outer(sites, modes) % N], np.sqrt(chi[sites])
+    per_sample = np.empty(M)
+    for a in range(0, M, _SAMPLE_TILE):
+        u = psi_samples[a:a + _SAMPLE_TILE, sites]
+        u *= weight
+        power = np.abs(u @ phases)
+        np.square(power, out=power)
+        per_sample[a:a + _SAMPLE_TILE] = power @ mask[modes]
+    per_sample *= 0.5 * eps / N
     norm = (eps * chi.sum()) * (mask.sum() / N)
     vals = per_sample / norm
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0

@@ -360,6 +360,10 @@ PRODUCTION = {"temperature": 1.0, "N": 128, "dt": 0.05, "t_macro": 0.25,
     ("scattering", {**SCATTER_NO_PACKET, "packet": PACKET, "gamma": -1.0}, ["gamma"]),
     ("production", {**PRODUCTION, "gamma": -1.0}, ["gamma"]),
     ("transport_check", {"gamma": -1.0, "table": BASE_TABLE}, ["gamma"]),
+    # a seed keys the Philox streams, so it is a u64
+    ("production", {**PRODUCTION, "seed": -1}, ["production", "'seed'"]),
+    ("scattering", {**SCATTER_NO_PACKET, "packet": PACKET, "seed": 2**64},
+     ["scattering", "'seed'"]),
 ])
 def test_cli_rejects_config_with_exit_2(tmp_path, capsys, command, cfg, named):
     path = _write_cfg(tmp_path, "cfg.json", cfg)
@@ -401,6 +405,14 @@ def test_cli_rejects_zero_threads_flag(tmp_path, capsys):
     assert err.startswith("config rejected: ") and "'threads'" in err
 
 
+def test_cli_rejects_negative_seed_flag(tmp_path, capsys):
+    path = _write_cfg(tmp_path, "cfg.json", PRODUCTION)
+    assert cli_main(["production", "--config", str(path), "--seed=-3",
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config rejected: ") and "'seed'" in err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # the child imports the same package the suite is testing
     src = str(Path(phonon_scatter.__file__).resolve().parents[1])
@@ -419,15 +431,16 @@ def test_cli_import_leaves_the_worker_pool_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, phonon_scatter.cli; "
             "print(*(m in sys.modules for m in "
-            "('concurrent.futures', 'logging', 'numpy.polynomial')))")
+            "('concurrent.futures', 'logging', 'numpy.polynomial', 'numpy.random')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120, env=env)
-    assert out.stdout.strip() == "False False False"
+    assert out.stdout.strip() == "False False False False"
 
 
 def test_scattering_run_leaves_masked_arrays_and_the_pool_unloaded(tmp_path):
-    # numpy.ma costs 0.75 MB of RSS and concurrent.futures the pool's imports;
-    # a whole scattering run (table, packet, route, fractions) needs neither
+    # numpy.ma costs 0.75 MB of RSS, numpy.random about 5 MB and
+    # concurrent.futures the pool's imports; a whole scattering run (table,
+    # packet, route, fractions) needs none of them
     src = str(Path(phonon_scatter.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     cfg = _write_cfg(tmp_path, "scatter.json", {
@@ -437,10 +450,25 @@ def test_scattering_run_leaves_masked_arrays_and_the_pool_unloaded(tmp_path):
     code = ("import sys; from phonon_scatter.cli import main; "
             f"code = main(['scattering', '--config', {str(cfg)!r}, '--out', "
             f"{str(tmp_path / 'out')!r}, '--seed', '5']); "
-            "print(code, *(m in sys.modules for m in ('numpy.ma', 'concurrent.futures')))")
+            "print(code, *(m in sys.modules for m in "
+            "('numpy.ma', 'concurrent.futures', 'numpy.random')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120, env=env)
-    assert out.stdout.splitlines()[-1] == "0 False False"
+    assert out.stdout.splitlines()[-1] == "0 False False False"
+
+
+def test_packet_draw_leaves_numpy_random_unloaded():
+    # the library's packet path, as a spectral run takes it: one phase draw
+    src = str(Path(phonon_scatter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys; from phonon_scatter import *; "
+            "disp = DispersionRelation(nn_unpinned()); "
+            "spec = WavePacketSpec(x_center=-0.05, k_center=0.25, width=0.12); "
+            "st = sample_initial(spec, 256, disp, rng=init_rng(1)); "
+            "print(st.p.shape, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120, env=env)
+    assert out.stdout.strip() == "(256,) False"
 
 
 def _package_nodes():

@@ -115,9 +115,27 @@ def test_initial_wigner_eta_decay(disp_unpinned):
         assert row == pytest.approx(0.5 * abs(prof.hat(float(eta))), rel=1e-3, abs=1e-12)
 
 
+def test_init_rng_draws_the_bits_of_numpy_philox():
+    for seed in [*range(64), 2**32 + 7, 2**63, 2**64 - 2, 2**64 - 1]:
+        ours = init_rng(seed)
+        ref = np.random.Generator(np.random.Philox(key=(1 << 64) + seed))
+        # 9 draws refill the four-word block twice
+        for draw in range(9):
+            a, b = ours.uniform(0.0, 2 * np.pi), ref.uniform(0.0, 2 * np.pi)
+            assert a.hex() == b.hex(), (seed, draw)
+
+
+def test_init_rng_refuses_a_seed_outside_u64():
+    for seed in (-1, 2**64, -(2**64)):
+        with pytest.raises(ConfigError, match="seed"):
+            init_rng(seed)
+
+
 def test_gibbs_mode_statistics(disp_unpinned):
     N, T, M = 128, 0.7, 4000
-    p, q = gibbs_state(N, disp_unpinned, T, init_rng(9), batch=M)
+    # init_rng draws only uniforms; numpy's Philox on its key gives the normals
+    rng = np.random.Generator(np.random.Philox(key=(1 << 64) + 9))
+    p, q = gibbs_state(N, disp_unpinned, T, rng, batch=M)
     assert np.mean(p**2) == pytest.approx(T, rel=0.02)
     om = np.asarray(disp_unpinned.omega(np.arange(N) / N))
     q_hat = np.fft.fft(q, axis=-1)

@@ -179,7 +179,9 @@ def test_scattering_fractions_requires_clearance(disp_unpinned):
 def test_windowed_density_calibration_on_gibbs(disp_unpinned):
     # a field in local equilibrium at temperature T must read back T
     N, T, M = 256, 1.3, 600
-    p, q = gibbs_state(N, disp_unpinned, T, init_rng(17), batch=M)
+    # init_rng draws only uniforms; numpy's Philox on its key gives the normals
+    rng = np.random.Generator(np.random.Philox(key=(1 << 64) + 17))
+    p, q = gibbs_state(N, disp_unpinned, T, rng, batch=M)
     psi = wave_field(p, q, disp_unpinned)
     x = site_coordinates(N) / N
     chi = spatial_window(x, -0.3, 0.3, 0.1)
@@ -215,6 +217,18 @@ def test_windowed_density_on_its_support_matches_full_fft(disp_unpinned):
         assert se == pytest.approx(ref_se, rel=1e-12)
 
 
+def test_windowed_density_over_several_sample_tiles_matches_full_fft(disp_unpinned):
+    # 150 samples: two whole tiles of 64 and a partial one
+    N = 256
+    psi = _random_field(150, N)
+    for chi, mask in [w[3:] for w in production_windows(N, disp_unpinned, 0.3,
+                                                         (0.15, 0.35), 8)]:
+        est, se = windowed_k_density(psi, chi, mask)
+        ref_est, ref_se = _full_fft_density(psi, chi, mask)
+        assert est == pytest.approx(ref_est, rel=1e-12)
+        assert se == pytest.approx(ref_se, rel=1e-12)
+
+
 def test_windowed_density_refuses_an_empty_support():
     psi = _random_field(4, 64)
     ones, zeros = np.ones(64), np.zeros(64)
@@ -230,3 +244,13 @@ def test_windowed_density_working_memory(disp_unpinned, traced_peak_mb):
     psi = _random_field(800, N)
     _, _, _, chi, mask = production_windows(N, disp_unpinned, 0.3, (0.15, 0.35), 8)[3]
     assert traced_peak_mb(lambda: windowed_k_density(psi, chi, mask)) < 2.0
+
+
+def test_windowed_density_copies_one_sample_tile_at_a_time(disp_unpinned, traced_peak_mb):
+    # production's first bin (54 sites): a whole (800, 54) copy of psi[:, S]
+    # alone is 0.69 MB, a 64-sample tile of it 0.055 MB
+    N = 256
+    psi = _random_field(800, N)
+    _, _, _, chi, mask = production_windows(N, disp_unpinned, 0.3, (0.15, 0.35), 8)[0]
+    assert np.count_nonzero(chi > 0) == 54
+    assert traced_peak_mb(lambda: windowed_k_density(psi, chi, mask)) < 0.3
